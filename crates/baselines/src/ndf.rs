@@ -10,7 +10,6 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use poetbin_bits::FeatureMatrix;
 use poetbin_data::binary::to_tensor;
@@ -19,7 +18,7 @@ use poetbin_nn::Tensor;
 use crate::MulticlassClassifier;
 
 /// Training configuration for [`NeuralDecisionForest`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NdfConfig {
     /// Number of trees.
     pub trees: usize,

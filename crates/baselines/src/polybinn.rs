@@ -7,8 +7,6 @@
 //! ahead on all three datasets "in spite of them having significantly more
 //! nodes in each DT".
 
-use serde::{Deserialize, Serialize};
-
 use poetbin_bits::{BitVec, FeatureMatrix};
 use poetbin_boost::{AdaBoost, BoostedEnsemble};
 use poetbin_dt::{BitClassifier, ClassicTree, ClassicTreeConfig};
@@ -16,7 +14,7 @@ use poetbin_dt::{BitClassifier, ClassicTree, ClassicTreeConfig};
 use crate::MulticlassClassifier;
 
 /// Training configuration for [`PolyBinn`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PolyBinnConfig {
     /// Depth limit of each off-the-shelf tree.
     pub max_depth: usize,

@@ -16,7 +16,10 @@
 //! * `engine_sharded_*` — automatic backend and block width with the
 //!   block range split across all cores via `std::thread::scope`;
 //! * `plan_compile` / `jit_compile` — netlist → plan compilation, and
-//!   plan → machine-code assembly + mapping for all three widths.
+//!   plan → machine-code assembly + mapping for all three widths;
+//! * `binarynet_xnor_popcount` — the paper's binary comparison point:
+//!   a BinaryNet (Courbariaux et al.) classifier on the same 512-bit
+//!   features, run as XNOR + popcount over 64 rows.
 //!
 //! **Before any timing**, the bench evaluates the full batch at every
 //! backend, block width, shard count and a ragged-tail shape and asserts
@@ -34,6 +37,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
+use poetbin_baselines::{BinaryNet, BinaryNetConfig, MulticlassClassifier};
 use poetbin_bench::{hardware_classifier, DatasetKind};
 use poetbin_bits::FeatureMatrix;
 use poetbin_engine::{Backend, Engine, JitExecutor};
@@ -244,6 +248,22 @@ fn bench_engine(c: &mut Criterion) {
     });
     group.bench_function("engine_sharded_60k", |b| {
         b.iter(|| black_box(sharded.eval_batch(black_box(&large))))
+    });
+
+    // BinaryNet trained briefly on the first 200 rows of the 1k batch;
+    // the row times inference only, so accuracy does not matter.
+    let train = small.select_examples(&(0..200).collect::<Vec<_>>());
+    let labels: Vec<usize> = (0..200).map(|e| e % 10).collect();
+    let config = BinaryNetConfig {
+        hidden: 128,
+        epochs: 1,
+        learning_rate: 0.01,
+        seed: 1,
+    };
+    let xnor = BinaryNet::train(&train, &labels, 10, &config).to_xnor();
+    let bn_batch = small.select_examples(&(0..64).collect::<Vec<_>>());
+    group.bench_function("binarynet_xnor_popcount", |b| {
+        b.iter(|| black_box(xnor.predict(black_box(&bn_batch))))
     });
 
     group.finish();

@@ -11,7 +11,8 @@
 //!   popcount plane), single-threaded;
 //! * `popcount_integer_*` — the engine on boosting-by-resampling draw
 //!   counts (bit-plane popcounts), single-threaded;
-//! * `bucketed_f64_*` — the exact path on arbitrary AdaBoost weights;
+//! * `bucketed_f64_*` — the exact path on arbitrary AdaBoost weights,
+//!   single-threaded and with the candidate scan sharded across cores;
 //!
 //! plus a `rinc_bank` group training a full boosted bank through the new
 //! resample draw-count fast path.
@@ -203,6 +204,16 @@ fn bench_train(c: &mut Criterion) {
                 &labels,
                 &exact,
                 &single,
+            ))
+        })
+    });
+    group.bench_function("bucketed_f64_sharded", |b| {
+        b.iter(|| {
+            black_box(LevelWiseTree::train(
+                black_box(&data),
+                &labels,
+                &exact,
+                &sharded,
             ))
         })
     });

@@ -89,29 +89,50 @@ pub struct Scale {
 
 impl Scale {
     /// Reads `POETBIN_SCALE` (`small` default / `medium` / `full`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value, so a typo cannot quietly produce
+    /// small-scale tables.
     pub fn from_env() -> Scale {
-        match std::env::var("POETBIN_SCALE").as_deref() {
-            Ok("full") => Scale {
+        let value = std::env::var_os("POETBIN_SCALE");
+        let name = value.as_ref().map(|v| v.to_str().unwrap_or("<non-UTF-8>"));
+        Scale::parse(name).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The scale named by a `POETBIN_SCALE` value; `None` (unset) is
+    /// `small`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the accepted values for anything other
+    /// than `small`, `medium` or `full`.
+    pub fn parse(name: Option<&str>) -> Result<Scale, String> {
+        match name {
+            Some("full") => Ok(Scale {
                 train: 8000,
                 test: 2000,
                 epochs: 10,
                 hidden: 512,
                 full_rinc: true,
-            },
-            Ok("medium") => Scale {
+            }),
+            Some("medium") => Ok(Scale {
                 train: 3000,
                 test: 800,
                 epochs: 6,
                 hidden: 192,
                 full_rinc: true,
-            },
-            _ => Scale {
+            }),
+            None | Some("small") => Ok(Scale {
                 train: 1200,
                 test: 400,
                 epochs: 4,
                 hidden: 96,
                 full_rinc: false,
-            },
+            }),
+            Some(other) => Err(format!(
+                "POETBIN_SCALE={other:?} is not a scale; expected small|medium|full"
+            )),
         }
     }
 
@@ -215,6 +236,18 @@ mod tests {
         let s = Scale::from_env();
         assert!(s.train >= 500);
         assert!(!s.full_rinc || s.train > 2000);
+    }
+
+    #[test]
+    fn scale_parse_accepts_only_small_medium_full() {
+        assert_eq!(Scale::parse(None).unwrap().train, 1200);
+        assert_eq!(Scale::parse(Some("small")).unwrap().train, 1200);
+        assert_eq!(Scale::parse(Some("medium")).unwrap().train, 3000);
+        assert!(Scale::parse(Some("full")).unwrap().full_rinc);
+        for bad in ["ful", "", "FULL", "large"] {
+            let err = Scale::parse(Some(bad)).unwrap_err();
+            assert!(err.contains("small|medium|full"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

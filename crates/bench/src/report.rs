@@ -69,8 +69,7 @@ pub fn write_repo_root(bench: &str, entries: &[(String, Duration)]) -> std::io::
 /// `(name, median)` schema — the `pipeline` binary's scenario reports
 /// carry nested accuracy/timing/resource objects.
 ///
-/// The serde shim in this offline workspace is a no-op, so this is the
-/// workspace's one real JSON emitter; keep it boring.
+/// This is the workspace's one JSON emitter; keep it boring.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `true` / `false`.

@@ -1,6 +1,5 @@
 //! A packed, word-aligned bit vector.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::WORD_BITS;
@@ -28,7 +27,7 @@ use crate::WORD_BITS;
 /// assert_eq!(v.count_ones(), 2);
 /// assert_eq!(v.iter_ones().collect::<Vec<_>>(), vec![0, 129]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitVec {
     words: Vec<u64>,
     len: usize,
@@ -519,10 +518,6 @@ mod tests {
         assert!(result.is_err());
     }
 
-    // A serde_json round-trip test lived here; it is parked until the real
-    // serde is restored (the offline build vendors no-op derives — see
-    // vendor/serde). Rebuilding through the bit-level accessors stands in
-    // as the structural round-trip.
     #[test]
     fn accessor_roundtrip() {
         let v = BitVec::from_fn(99, |i| i % 4 == 1);

@@ -52,9 +52,7 @@ mod varlen;
 
 pub use bitvec::BitVec;
 pub use counting::{and2_popcount, and3_popcount, popcount_words, split_counts};
-pub use matrix::{
-    pack_block_rows, pack_block_rows_into, pack_word_rows, pack_word_rows_into, FeatureMatrix,
-};
+pub use matrix::{pack_block_rows, pack_block_rows_into, FeatureMatrix};
 pub use truth_table::{TruthTable, TruthTableBytesError, MAX_LUT_INPUTS};
 pub use varlen::{BitReadError, BitReader, BitWriter};
 

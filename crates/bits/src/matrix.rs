@@ -1,6 +1,5 @@
 //! Binary datasets stored in both row-major and column-major order.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{BitVec, WORD_BITS};
@@ -24,62 +23,19 @@ fn transpose64(a: &mut [u64; WORD_BITS]) {
     }
 }
 
-/// Packs up to 64 example rows into feature-major lane words: word `j` of
-/// the result carries feature `j`, with bit `l` holding row `l`'s value —
-/// exactly the layout one 64-example word of a [`FeatureMatrix`] column
-/// plane uses, and what `poetbin_engine`'s single-word evaluation path
-/// consumes.
-///
-/// This is the ingestion kernel for request coalescing: a batching server
-/// that has collected `rows.len() ≤ 64` independent single-example rows
-/// turns them into one engine word with a single 64×64 block transpose per
-/// 64 features, instead of building (and double-transposing) a full
-/// [`FeatureMatrix`]. Lanes `>= rows.len()` of every output word are zero.
-///
-/// # Panics
-///
-/// Panics if `rows.len() > 64` or any row's length differs from
-/// `num_features`.
-pub fn pack_word_rows<'a, I>(rows: I, num_features: usize) -> Vec<u64>
-where
-    I: IntoIterator<Item = &'a BitVec>,
-    I::IntoIter: Clone,
-{
-    let mut out = Vec::new();
-    pack_word_rows_into(rows, num_features, &mut out);
-    out
-}
-
-/// [`pack_word_rows`] into a caller-owned buffer (cleared and resized to
-/// `num_features` words), so a serving worker that packs one word per
-/// batch forever allocates nothing on its hot path. The rows iterator is
-/// walked twice — once to validate, once per 64-feature block — hence the
-/// `Clone` bound; slices and `iter().map(..)` adapters satisfy it for
-/// free.
-///
-/// # Panics
-///
-/// As for [`pack_word_rows`].
-pub fn pack_word_rows_into<'a, I>(rows: I, num_features: usize, out: &mut Vec<u64>)
-where
-    I: IntoIterator<Item = &'a BitVec>,
-    I::IntoIter: Clone,
-{
-    pack_block_rows_into(rows, num_features, 1, out);
-}
-
 /// Packs up to `64 · block_words` example rows into feature-major
 /// lane-word blocks: words `j·block_words..(j+1)·block_words` of the
 /// result carry feature `j`, word `w` of the block holding rows
-/// `64·w..64·(w+1)` (row `l`'s value in bit `l % 64`) — the multi-word
-/// generalisation of [`pack_word_rows`], and the layout
-/// `poetbin_engine`'s blocked packed-evaluation path consumes.
+/// `64·w..64·(w+1)` (row `l`'s value in bit `l % 64`) — the layout of
+/// `block_words` consecutive words of a [`FeatureMatrix`] column plane,
+/// and what `poetbin_engine`'s packed-evaluation path consumes.
 ///
-/// This is the ingestion kernel for block-sized request coalescing: a
-/// batching server that has collected `rows.len() ≤ 64 · block_words`
-/// independent rows turns them into one engine block with a single 64×64
-/// transpose per (64-row, 64-feature) tile. Lanes `>= rows.len()` of
-/// every output word are zero.
+/// This is the ingestion kernel for request coalescing: a batching server
+/// that has collected `rows.len() ≤ 64 · block_words` independent rows
+/// turns them into one engine block with a single 64×64 transpose per
+/// (64-row, 64-feature) tile, instead of building (and double-transposing)
+/// a full [`FeatureMatrix`]. Lanes `>= rows.len()` of every output word
+/// are zero.
 ///
 /// # Panics
 ///
@@ -205,7 +161,7 @@ fn transpose(vecs: &[BitVec], width: usize) -> Vec<BitVec> {
 /// assert!(m.bit(0, 0));
 /// assert_eq!(m.feature(2).count_ones(), 2);
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct FeatureMatrix {
     n: usize,
     f: usize,
@@ -465,8 +421,9 @@ mod tests {
 
     #[test]
     fn pack_word_rows_matches_column_planes() {
-        // Any lane count and feature width must reproduce the column-plane
-        // words a FeatureMatrix over the same rows would hold.
+        // Packing into a single word per feature (block width 1) must
+        // reproduce, for any lane count and feature width, the first
+        // column-plane word a FeatureMatrix over the same rows would hold.
         for (lanes, f) in [
             (0usize, 5usize),
             (1, 1),
@@ -478,7 +435,7 @@ mod tests {
             let rows: Vec<BitVec> = (0..lanes)
                 .map(|e| BitVec::from_fn(f, |j| (e * 31 + j * 7) % 5 < 2))
                 .collect();
-            let words = pack_word_rows(rows.iter(), f);
+            let words = pack_block_rows(rows.iter(), f, 1);
             assert_eq!(words.len(), f);
             let m = FeatureMatrix::from_rows(rows);
             for (j, &w) in words.iter().enumerate() {
@@ -494,9 +451,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "at most 64 rows")]
-    fn pack_word_rows_rejects_65_rows() {
+    fn pack_block_rows_rejects_65_rows_in_one_word() {
         let rows: Vec<BitVec> = (0..65).map(|_| BitVec::zeros(3)).collect();
-        pack_word_rows(rows.iter(), 3);
+        pack_block_rows(rows.iter(), 3, 1);
     }
 
     #[test]
@@ -546,9 +503,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "expected 4")]
-    fn pack_word_rows_rejects_width_mismatch() {
+    fn pack_block_rows_rejects_width_mismatch() {
         let rows = [BitVec::zeros(4), BitVec::zeros(5)];
-        pack_word_rows(rows.iter(), 4);
+        pack_block_rows(rows.iter(), 4, 1);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! LUT truth tables: boolean functions of `k` inputs stored as `2^k` bits.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::BitVec;
@@ -30,7 +29,7 @@ pub const MAX_LUT_INPUTS: usize = 24;
 /// assert!(!xor2.eval(0b11));
 /// assert!(xor2.depends_on(0) && xor2.depends_on(1));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct TruthTable {
     inputs: usize,
     bits: BitVec,
@@ -296,8 +295,8 @@ impl TruthTable {
 
     /// Serialises the table into a self-describing byte string: one length
     /// byte holding `k`, then the packed entries as little-endian `u64`
-    /// words. The in-tree serde shim is a no-op, so this is the persistence
-    /// format used by model save/load (see `poetbin_core::persist`).
+    /// words. This is the persistence format used by model save/load (see
+    /// `poetbin_core::persist`).
     pub fn to_bytes(&self) -> Vec<u8> {
         let words = self.bits.as_words();
         let mut out = Vec::with_capacity(1 + words.len() * 8);

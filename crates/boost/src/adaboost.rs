@@ -2,7 +2,6 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use poetbin_bits::{BitVec, FeatureMatrix};
 use poetbin_dt::BitClassifier;
@@ -14,7 +13,7 @@ use crate::mat::MatModule;
 const ERR_FLOOR: f64 = 1e-10;
 
 /// How AdaBoost communicates example importance to the weak learner.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum WeightUpdate {
     /// Pass the exact weight vector to the learner (classic AdaBoost).
     #[default]
@@ -34,7 +33,7 @@ pub enum WeightUpdate {
 }
 
 /// Configuration for one AdaBoost run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AdaBoost {
     /// Number of boosting rounds = number of weak classifiers grouped under
     /// one MAT unit (`≤ P` so the MAT fits one LUT).
@@ -198,7 +197,7 @@ fn sample_by_weight(weights: &[f64], count: usize, rng: &mut StdRng) -> Vec<usiz
 }
 
 /// Per-round diagnostics from an AdaBoost run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AdaBoostReport {
     /// Weighted error of each weak learner on the distribution it faced.
     pub round_errors: Vec<f64>,
@@ -211,7 +210,7 @@ pub struct AdaBoostReport {
 }
 
 /// An AdaBoost ensemble: weak classifiers plus their MAT vote unit.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BoostedEnsemble<C> {
     /// The weak classifiers, in training order.
     pub members: Vec<C>,

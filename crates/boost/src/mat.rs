@@ -1,7 +1,5 @@
 //! The Multiply-Add-Threshold (MAT) unit and its LUT folding.
 
-use serde::{Deserialize, Serialize};
-
 use poetbin_bits::TruthTable;
 
 /// A Multiply-Add-Threshold unit over `k` one-bit classifier outputs.
@@ -25,7 +23,7 @@ use poetbin_bits::TruthTable;
 /// assert!(!mat.eval(0b100));  // the dissenter alone loses
 /// assert_eq!(mat.table().inputs(), 3);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MatModule {
     weights: Vec<f64>,
     threshold: f64,

@@ -1,7 +1,5 @@
 //! The hierarchical RINC-L architecture (Algorithm 2, Figures 2–3).
 
-use serde::{Deserialize, Serialize};
-
 use poetbin_bits::{BitVec, FeatureMatrix};
 use poetbin_dt::{BitClassifier, EmptyLeafPolicy, LevelTreeConfig, LevelWiseTree};
 
@@ -17,7 +15,7 @@ use crate::mat::MatModule;
 /// * `top_groups` is the fan-in of the *outermost* MAT only. The paper's
 ///   MNIST configuration is `P = 8, L = 2` with 32 DTs — i.e. 4 subgroups
 ///   of 8 trees — so the top MAT has 4 inputs while inner groups use `P`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RincConfig {
     /// LUT fan-in `P` (tree depth and MAT width).
     pub lut_inputs: usize,
@@ -35,7 +33,6 @@ pub struct RincConfig {
     /// — e.g. `RincBank::train` — cap this so the product of module and
     /// scan threads stays near the core count; the trained module is
     /// identical for any value.
-    #[serde(default)]
     pub tree_threads: usize,
     /// Worker shards `RincBank::train` splits its modules across
     /// (`0` = one shard per core). Every neuron's module is trained from
@@ -43,7 +40,6 @@ pub struct RincConfig {
     /// results are folded into slots in neuron order, so the trained bank
     /// is **bit-identical at any shard count** — sharding is purely a
     /// throughput knob.
-    #[serde(default)]
     pub bank_shards: usize,
 }
 
@@ -139,7 +135,7 @@ impl RincConfig {
 
 /// One node of the RINC hierarchy: either a bare level-wise tree (RINC-0)
 /// or a boosted module of lower-level nodes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum RincNode {
     /// A RINC-0 module: one level-wise tree = one LUT.
     Tree(LevelWiseTree),
@@ -248,7 +244,7 @@ impl BitClassifier for RincNode {
 
 /// A boosted RINC-`l` module (`l ≥ 1`): up to `P` lower-level nodes whose
 /// one-bit outputs feed a MAT LUT.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RincModule {
     children: Vec<RincNode>,
     mat: MatModule,
@@ -404,7 +400,7 @@ impl BitClassifier for RincModule {
 }
 
 /// Structural statistics of a RINC hierarchy.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RincStats {
     /// Total LUTs (trees + MAT units).
     pub luts: usize,

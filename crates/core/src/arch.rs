@@ -1,8 +1,6 @@
 //! Network architectures (Table 1 of the paper) and their CPU-scaled
 //! equivalents.
 
-use serde::{Deserialize, Serialize};
-
 use poetbin_nn::{BatchNorm, BinarySigmoid, Conv2d, Dense, Flatten, MaxPool2d, Relu, Sequential};
 
 /// Which activation produces the 512 features: ReLU for the vanilla
@@ -23,7 +21,7 @@ pub enum FeatureActivation {
 /// configuration in the paper; PoET-BiN itself only ever sees these 512
 /// bits, so the extractor's internal width is free to scale with the
 /// compute budget.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FeatureExtractor {
     /// LeNet-style for 28×28×1 inputs (the M1 row of Table 1):
     /// conv5×5 → pool → conv5×5 → pool → 512 features.
@@ -93,7 +91,7 @@ impl FeatureExtractor {
 }
 
 /// A full network architecture: feature extractor plus classifier stack.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Architecture {
     /// Table 1 row name (`M1`, `C1`, `S1`) or a scaled variant.
     pub name: String,

@@ -1,7 +1,5 @@
 //! The complete PoET-BiN classifier: RINC bank + quantised sparse output.
 
-use serde::{Deserialize, Serialize};
-
 use poetbin_bits::FeatureMatrix;
 use poetbin_boost::{RincModule, RincNode};
 use poetbin_fpga::{Netlist, NetlistBuilder, SignalId};
@@ -17,7 +15,7 @@ use crate::rinc_bank::RincBank;
 /// table look-up. [`PoetBinClassifier::to_netlist`] lowers the classifier
 /// onto the FPGA fabric model for timing/power/area analysis, and
 /// [`PoetBinClassifier::to_vhdl`] emits the synthesizable design.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PoetBinClassifier {
     bank: RincBank,
     output: QuantizedSparseOutput,

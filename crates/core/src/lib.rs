@@ -15,9 +15,8 @@
 //!   class.
 //! * [`classifier`] — [`PoetBinClassifier`]: the complete LUT classifier
 //!   with software inference, netlist export and VHDL generation.
-//! * [`persist`] — bespoke binary save/load for trained classifiers (the
-//!   offline serde shim is a no-op, so models carry their own format):
-//!   the flat `POETBIN1` and the compact sectioned `POETBIN2`.
+//! * [`persist`] — bespoke binary save/load for trained classifiers: the
+//!   flat `POETBIN1` and the compact sectioned `POETBIN2`.
 //! * [`workflow`] — the end-to-end A1→A4 pipeline reproducing Table 2
 //!   rows.
 //! * [`scenarios`] — the paper-scale scenario harness: configured

@@ -1,7 +1,5 @@
 //! The sparsely connected, `q`-bit quantised output layer (§2.2.2).
 
-use serde::{Deserialize, Serialize};
-
 use poetbin_bits::{FeatureMatrix, TruthTable};
 
 /// The sparsely connected output layer after retraining and quantisation.
@@ -11,7 +9,7 @@ use poetbin_bits::{FeatureMatrix, TruthTable};
 /// implementable as `q` LUTs, one per score bit. Scores are `q`-bit
 /// unsigned integers on a shared scale, so the final argmax is a plain
 /// integer comparison.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QuantizedSparseOutput {
     classes: usize,
     lut_inputs: usize,

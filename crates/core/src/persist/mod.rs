@@ -1,9 +1,7 @@
 //! Bespoke binary save/load for trained classifiers.
 //!
-//! The workspace builds offline against a no-op serde shim (see
-//! `vendor/serde`), so `#[derive(Serialize)]` produces nothing at runtime.
-//! Model persistence therefore uses its own byte formats, versioned by a
-//! magic string and selected at save time through [`ModelFormat`]:
+//! Model persistence uses its own byte formats, versioned by a magic
+//! string and selected at save time through [`ModelFormat`]:
 //!
 //! * **`POETBIN1`** (`v1`) — the original flat little-endian dump.
 //!   Fixed-width everywhere: feature indices cost 8 bytes, output weights

@@ -1,14 +1,12 @@
 //! A bank of RINC modules, one per intermediate binary neuron (§2.2.1).
 
-use serde::{Deserialize, Serialize};
-
 use poetbin_bits::{BitVec, FeatureMatrix};
 use poetbin_boost::{RincConfig, RincNode};
 use poetbin_dt::BitClassifier;
 
 /// One RINC-L module per intermediate-layer neuron, each trained to
 /// emulate that neuron's binary output from the 512 binary features.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RincBank {
     modules: Vec<RincNode>,
 }

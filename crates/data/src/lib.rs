@@ -33,13 +33,12 @@ pub mod scenario;
 pub mod synthetic;
 
 use poetbin_nn::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A labelled image-classification dataset.
 ///
 /// Images are stored as one `[n, c, h, w]` tensor; labels are class
 /// indices in `0..num_classes`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ImageDataset {
     /// The image tensor, `[n, c, h, w]`.
     pub images: Tensor,

@@ -7,15 +7,13 @@
 //! far more than a LUT port supplies — or far fewer, under-filling the LUT.
 //! The POLYBiNN baseline builds on these trees.
 
-use serde::{Deserialize, Serialize};
-
 use poetbin_bits::{BitVec, FeatureMatrix};
 
 use crate::entropy::{gini_impurity, weighted_binary_entropy};
 use crate::BitClassifier;
 
 /// Split quality measure for [`ClassicTree`] training.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SplitCriterion {
     /// Shannon information gain (ID3/C4.5 style).
     #[default]
@@ -34,7 +32,7 @@ impl SplitCriterion {
 }
 
 /// Configuration for training a [`ClassicTree`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClassicTreeConfig {
     /// Maximum tree depth (root = depth 0). A depth-`d` tree answers in at
     /// most `d` feature reads per example.
@@ -75,7 +73,7 @@ impl ClassicTreeConfig {
     }
 }
 
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 enum Node {
     /// Internal node: test `feature`; 0 → `lo`, 1 → `hi` (indices into the
     /// node arena).
@@ -102,7 +100,7 @@ enum Node {
 ///                               &ClassicTreeConfig::with_depth(2));
 /// assert_eq!(tree.accuracy(&data, &labels), 1.0);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClassicTree {
     nodes: Vec<Node>,
     root: usize,

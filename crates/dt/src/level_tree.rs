@@ -10,15 +10,13 @@
 //! time reference implementation; the engine is pinned against it by
 //! randomized equivalence tests and the `train` benchmark.
 
-use serde::{Deserialize, Serialize};
-
 use poetbin_bits::{split_counts, BitVec, FeatureMatrix, TruthTable, WORD_BITS};
 
 use crate::entropy::weighted_binary_entropy;
 use crate::BitClassifier;
 
 /// What label an unreached leaf (no training example lands in it) receives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum EmptyLeafPolicy {
     /// Follow Algorithm 1 literally: `S0 <= S1` with both sums zero yields
     /// class 1.
@@ -30,7 +28,7 @@ pub enum EmptyLeafPolicy {
 }
 
 /// Configuration for training a [`LevelWiseTree`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LevelTreeConfig {
     /// Number of tree levels = number of LUT inputs `P`.
     pub inputs: usize,
@@ -42,7 +40,6 @@ pub struct LevelTreeConfig {
     /// Worker threads for the per-level candidate-feature scan; `0` (the
     /// default) uses all available cores. The trained tree is identical
     /// for every thread count.
-    #[serde(default)]
     pub threads: usize,
 }
 
@@ -78,7 +75,7 @@ impl LevelTreeConfig {
 }
 
 /// Diagnostics produced while training a [`LevelWiseTree`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LevelTrainReport {
     /// Weighted conditional entropy after each level was added.
     pub level_entropies: Vec<f64>,
@@ -255,7 +252,7 @@ struct PlaneNode {
 ///
 /// Address convention: the feature chosen at level `i` drives address bit
 /// `i` of the truth table (`features()[0]` is the least-significant bit).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LevelWiseTree {
     features: Vec<usize>,
     table: TruthTable,

@@ -296,31 +296,6 @@ impl Engine {
         }
     }
 
-    /// Evaluates a single 64-lane word of already-packed inputs, masking
-    /// the result to the valid lanes.
-    ///
-    /// `feature_words[j]` carries feature `j` for up to 64 independent
-    /// examples, lane `l` being example `l` — the layout
-    /// [`poetbin_bits::pack_word_rows`] produces. Lanes where `lane_mask`
-    /// is clear may hold arbitrary garbage in every operand; the mask is
-    /// applied to each output word, so garbage never escapes into results.
-    /// Returns one masked word per netlist output, borrowed from
-    /// `scratch`. This is the one-word case of
-    /// [`Engine::eval_blocks_masked`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `feature_words.len()` differs from the plan's input count
-    /// or `scratch` was allocated for a different plan shape.
-    pub fn eval_word_masked<'s>(
-        &self,
-        feature_words: &[u64],
-        lane_mask: u64,
-        scratch: &'s mut Scratch,
-    ) -> &'s [u64] {
-        self.eval_blocks_masked(feature_words, 1, lane_mask, scratch)
-    }
-
     /// Evaluates up to [`MAX_BLOCK_WORDS`] packed lane words in one tape
     /// pass, masking the final word to its valid lanes.
     ///
@@ -449,7 +424,7 @@ impl Clone for AlignedVals {
 
 /// Reusable working memory for the packed evaluation paths
 /// ([`Engine::eval_blocks_masked`] /
-/// [`ClassifierEngine::predict_block_into`] and their one-word forms).
+/// [`ClassifierEngine::predict_block_into`]).
 ///
 /// Holds the plan's value array sized for the widest block plus an
 /// output buffer, so a worker shard serving a stream of micro-batches
@@ -557,25 +532,6 @@ impl ClassifierEngine {
     /// Allocates a reusable [`Scratch`] for the packed predict paths.
     pub fn scratch(&self) -> Scratch {
         self.engine.scratch()
-    }
-
-    /// Predicts up to 64 examples packed into one lane word, writing one
-    /// class index per lane into `preds`. The one-word case of
-    /// [`ClassifierEngine::predict_block_into`]; `feature_words` is the
-    /// [`poetbin_bits::pack_word_rows`] layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `preds.len() > 64`, `feature_words.len()` differs from
-    /// the compiled feature count, or `scratch` belongs to another engine.
-    pub fn predict_word_into(
-        &self,
-        feature_words: &[u64],
-        scratch: &mut Scratch,
-        preds: &mut [usize],
-    ) {
-        assert!(preds.len() <= 64, "at most 64 lanes fit one word");
-        self.predict_block_into(feature_words, scratch, preds);
     }
 
     /// Predicts up to `64 ·` [`MAX_BLOCK_WORDS`] examples packed into one

@@ -24,7 +24,7 @@
 //!   argmax decode, bit-identical to `PoetBinClassifier::predict`.
 //! * [`Scratch`] and the masked packed paths
 //!   ([`Engine::eval_blocks_masked`] /
-//!   [`ClassifierEngine::predict_block_into`] and their one-word forms) —
+//!   [`ClassifierEngine::predict_block_into`]) —
 //!   allocation-free evaluation of up to [`MAX_BLOCK_WORDS`] packed lane
 //!   words with dead tail lanes masked out, the substrate
 //!   `poetbin-serve`'s request micro-batcher runs on.

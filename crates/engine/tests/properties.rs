@@ -256,10 +256,10 @@ fn masked_eval_is_immune_to_garbage_in_dead_lanes() {
                 .map(|&w| w | (rng.random::<u64>() & !live_mask))
                 .collect();
             let clean_out = engine
-                .eval_word_masked(&clean, live_mask, &mut scratch)
+                .eval_blocks_masked(&clean, 1, live_mask, &mut scratch)
                 .to_vec();
             let dirty_out = engine
-                .eval_word_masked(&dirty, live_mask, &mut scratch)
+                .eval_blocks_masked(&dirty, 1, live_mask, &mut scratch)
                 .to_vec();
             assert_eq!(
                 clean_out, dirty_out,
@@ -284,8 +284,9 @@ fn masked_eval_is_immune_to_garbage_in_dead_lanes() {
     }
 }
 
-/// `predict_word_into` (the serving hot path) agrees with the batch
-/// `predict` for every tail size, with garbage injected into dead lanes.
+/// `predict_block_into` (the serving hot path) over one lane word agrees
+/// with the batch `predict` for every tail size, with garbage injected
+/// into dead lanes.
 #[test]
 fn predict_word_matches_batch_predict_for_all_tail_sizes() {
     let mut rng = StdRng::seed_from_u64(0x7A113);
@@ -304,12 +305,12 @@ fn predict_word_matches_batch_predict_for_all_tail_sizes() {
             } else {
                 (1u64 << lanes) - 1
             };
-            let mut words = poetbin_bits::pack_word_rows(rows.iter(), f);
+            let mut words = poetbin_bits::pack_block_rows(rows.iter(), f, 1);
             for w in &mut words {
                 *w |= rng.random::<u64>() & !live_mask;
             }
             let mut preds = vec![0usize; lanes];
-            engine.predict_word_into(&words, &mut scratch, &mut preds);
+            engine.predict_block_into(&words, &mut scratch, &mut preds);
             assert_eq!(preds, expected, "case {case} lanes={lanes}");
         }
     }
@@ -340,5 +341,5 @@ fn scratch_is_plan_specific() {
 
     let mut wrong_scratch = tiny.scratch();
     let inputs = vec![0u64; 4];
-    big.eval_word_masked(&inputs, u64::MAX, &mut wrong_scratch);
+    big.eval_blocks_masked(&inputs, 1, u64::MAX, &mut wrong_scratch);
 }

@@ -6,8 +6,6 @@
 //! exactly the 4× factor the paper uses when counting MNIST/CIFAR LUTs
 //! (§4.3).
 
-use serde::{Deserialize, Serialize};
-
 use poetbin_bits::TruthTable;
 
 use crate::netlist::{Netlist, NetlistBuilder, Node, SignalId};
@@ -16,7 +14,7 @@ use crate::netlist::{Netlist, NetlistBuilder, Node, SignalId};
 pub const FABRIC_LUT_INPUTS: usize = 6;
 
 /// Statistics from a [`map_to_lut6`] run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MappingReport {
     /// LUTs that were already narrow enough and copied through.
     pub passthrough_luts: usize,

@@ -1,6 +1,5 @@
 //! Combinational LUT netlists.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use poetbin_bits::TruthTable;
@@ -11,7 +10,7 @@ pub type SignalId = usize;
 
 /// One primitive of the netlist. Nodes are stored in topological order:
 /// every operand id is smaller than the node's own id.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Node {
     /// Primary input number `index`.
     Input {
@@ -63,7 +62,7 @@ pub enum Node {
 /// assert_eq!(net.eval(&[true, true]), vec![true]);
 /// assert_eq!(net.eval(&[true, false]), vec![false]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Netlist {
     nodes: Vec<Node>,
     outputs: Vec<SignalId>,
@@ -328,7 +327,7 @@ impl Netlist {
 }
 
 /// Area statistics of a [`Netlist`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AreaReport {
     /// Number of LUT nodes.
     pub luts: usize,

@@ -15,13 +15,11 @@
 //! * static power is the device leakage floor (Table 3 reports
 //!   41–45 mW across the three designs).
 
-use serde::{Deserialize, Serialize};
-
 use crate::netlist::Netlist;
 use crate::sim::SimResult;
 
 /// Power model constants for the target device.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PowerModel {
     /// Energy per output toggle of a LUT/mux, joules (covers the logic and
     /// the driven routing).
@@ -46,7 +44,7 @@ impl Default for PowerModel {
 }
 
 /// A power estimate broken down the way the Xilinx analyzer reports it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PowerReport {
     /// Logic + signal switching power (W).
     pub logic_signal_w: f64,

@@ -11,12 +11,10 @@
 //! 3. **Dead-code elimination** — nodes that no output transitively reads
 //!    are removed.
 
-use serde::{Deserialize, Serialize};
-
 use crate::netlist::{Netlist, NetlistBuilder, Node, SignalId};
 
 /// Statistics from a [`prune`] run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PruneReport {
     /// LUT inputs removed because the function never depends on them.
     pub inputs_removed: usize,

@@ -1,7 +1,5 @@
 //! Static timing analysis over the LUT netlist.
 
-use serde::{Deserialize, Serialize};
-
 use crate::netlist::{Netlist, Node};
 
 /// Delay model for the target fabric.
@@ -13,7 +11,7 @@ use crate::netlist::{Netlist, Node};
 /// With `t_io = 1.5 ns` (combined pad-in + pad-out), `t_lut = 0.90 ns`,
 /// `t_net = 0.19 ns` and `t_mux = 0.42 ns` the model lands on 5.86 ns and
 /// 9.22 ns respectively. EXPERIMENTS.md discusses the residual gap.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TimingModel {
     /// LUT propagation delay (ns).
     pub t_lut: f64,
@@ -37,7 +35,7 @@ impl Default for TimingModel {
 }
 
 /// The result of a timing analysis.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TimingReport {
     /// Critical-path delay in nanoseconds, including pad delays.
     pub critical_path_ns: f64,

@@ -2,7 +2,6 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major tensor of `f32` values.
@@ -22,7 +21,7 @@ use std::fmt;
 /// let c = a.matmul(&b);
 /// assert_eq!(c.data(), a.data());
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,

@@ -1,9 +1,7 @@
 //! Operation counting for fully connected classifier stacks (Table 5).
 
-use serde::{Deserialize, Serialize};
-
 /// MAC operation counts of a classifier.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Total multiplications per inference.
     pub multiplications: u64,

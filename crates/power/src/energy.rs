@@ -1,7 +1,5 @@
 //! Per-inference energy comparison (Table 6 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::counting::fc_ops;
 use crate::ops::{op_power, OpKind};
 
@@ -11,7 +9,7 @@ use crate::ops::{op_power, OpKind};
 pub const BINARY_NEURON_512_W: f64 = 0.026;
 
 /// Arithmetic precision of a conventional FC classifier implementation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// 32-bit floating point (the "vanilla" row).
     Float32,
@@ -78,7 +76,7 @@ pub fn binary_network_energy(widths: &[usize], freq_mhz: f64) -> f64 {
 }
 
 /// One row of the Table 6 comparison.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EnergyRow {
     /// Technique label (VANILLA, 1-BIT QUANT, …, POET-BIN).
     pub technique: String,

@@ -10,8 +10,6 @@
 //! monotone under growth, zero for empty banks) are pinned by the seeded
 //! property tests in `tests/grid.rs`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::energy::{binary_network_energy, fc_energy, Precision};
 
 /// Compute (logic + signal) power of one occupied LUT, in watts.
@@ -23,7 +21,7 @@ use crate::energy::{binary_network_energy, fc_energy, Precision};
 pub const LUT_COMPUTE_W: f64 = 0.513 / 11_899.0;
 
 /// Resource counts of one RINC module (or any LUT subcircuit).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ModuleGrid {
     /// Occupied LUTs (trees, MATs and any glue).
     pub luts: usize,
@@ -54,7 +52,7 @@ impl std::ops::Add for ModuleGrid {
 }
 
 /// Per-module resource grids of a whole bank, in neuron order.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BankGrid {
     /// One grid per RINC module.
     pub modules: Vec<ModuleGrid>,
@@ -101,7 +99,7 @@ impl FromIterator<ModuleGrid> for BankGrid {
 
 /// The Table 6 row set for one dataset: conventional FC classifier
 /// energies next to the PoET-BiN figure.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyGrid {
     /// Operating clock, MHz.
     pub clock_mhz: f64,

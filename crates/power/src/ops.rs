@@ -8,10 +8,8 @@
 //! computation of a combinational function is only concerned by the logic
 //! and signal columns").
 
-use serde::{Deserialize, Serialize};
-
 /// An arithmetic operation whose power was measured on the device.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// 16-bit integer multiplication (DSP block).
     Mul16,
@@ -43,7 +41,7 @@ impl OpKind {
 
 /// Power of one operation, decomposed as the Xilinx analyzer reports it
 /// (all watts at 62.5 MHz).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OpPower {
     /// Which operation this row describes.
     pub kind: OpKind,

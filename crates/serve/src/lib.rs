@@ -61,7 +61,7 @@
 //!   against that invariant in the chaos suite.
 //!
 //! The server is std-only: no async runtime, no network dependencies
-//! (the epoll surface is a vendored in-tree shim, like `rand`/`serde`).
+//! (the epoll surface is a vendored in-tree shim, like `rand`).
 //!
 //! # Quickstart
 //!

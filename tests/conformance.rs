@@ -5,8 +5,8 @@
 //! same trained model: the scalar software path
 //! (`PoetBinClassifier::predict`), the compiled batch engine
 //! (`ClassifierEngine`, single- and multi-shard, every lane-block width
-//! `B ∈ {1, 4, 8}`), the serving packed paths (`predict_word_into` /
-//! `predict_block_into` over packed lane words, including partial
+//! `B ∈ {1, 4, 8}`), the serving packed path (`predict_block_into` over
+//! one packed lane word and over a multi-word block, including partial
 //! tails), and the FPGA netlist simulator. The fixtures under
 //! `tests/fixtures/` are golden — each model checked in twice,
 //! `<name>.poetbin` (`POETBIN1`) beside `<name>.poetbin2` (`POETBIN2`).
@@ -20,7 +20,7 @@
 //! `cargo run -p poetbin_bench --bin gen_fixture`, which also prints the
 //! golden arrays to paste here.
 
-use poetbin_bits::{pack_block_rows, pack_word_rows, BitVec, FeatureMatrix};
+use poetbin_bits::{pack_block_rows, BitVec, FeatureMatrix};
 use poetbin_core::persist::{load_classifier, save_classifier, ModelFormat};
 use poetbin_core::PoetBinClassifier;
 use poetbin_engine::ClassifierEngine;
@@ -172,9 +172,9 @@ fn all_backends_agree_bit_for_bit() {
         let rows: Vec<BitVec> = (0..n).map(|i| probe_row(f, i)).collect();
         let mut served = Vec::with_capacity(n);
         for chunk in rows.chunks(64) {
-            let words = pack_word_rows(chunk.iter(), f);
+            let words = pack_block_rows(chunk.iter(), f, 1);
             let mut preds = vec![0usize; chunk.len()];
-            engine.predict_word_into(&words, &mut scratch, &mut preds);
+            engine.predict_block_into(&words, &mut scratch, &mut preds);
             served.extend(preds);
         }
         assert_eq!(served, scalar, "{name}: serving word path");

@@ -1,112 +1,51 @@
-//! Load generator and SLO harness for `poetbin-serve`: closed-loop,
-//! open-loop, and a rate-sweeping benchmark mode that writes
-//! `BENCH_serve.json`.
+//! Closed-loop round-trip smoke for `poetbin-serve`.
 //!
-//! Starts an in-process multi-model server on an ephemeral port for each
-//! run and hammers it from `--clients` client threads, each interleaving
-//! its requests round-robin across every loaded model (request `i`
-//! targets model `i mod M`), so the worker shards exercise their
-//! per-model batch grouping. Three modes:
-//!
-//! * **closed-loop** (default): each client waits for its response before
-//!   sending the next request, so concurrency equals the client count —
-//!   the model under which a linger can only add latency;
-//! * **open-loop** (`--open-loop RATE`): requests are injected at a fixed
-//!   aggregate arrival rate by timer-paced sender threads (absolute
-//!   schedule — a late sender catches up rather than silently lowering
-//!   the offered rate), with a separate receiver thread per connection
-//!   draining responses. This is the model real traffic follows, and the
-//!   one under which the linger/batch-occupancy tradeoff is measurable;
-//! * **SLO harness** (`--slo`): an open-loop rate sweep (p50/p99/p999
-//!   send→response latency per offered rate, queue depth sampled
-//!   throughout) plus a deliberate overload probe against a tiny bounded
-//!   queue, written to `BENCH_serve.json` at the repository root.
-//!   `POETBIN_SERVE_QUICK=1` shrinks the sweep for CI smoke runs.
+//! Starts an in-process multi-model server on an ephemeral port once per
+//! linger setting and drives it from `--clients` client threads. Each
+//! client waits for its response before sending the next request, so
+//! concurrency equals the client count, and interleaves its requests
+//! round-robin across every loaded model (request `i` targets model
+//! `i mod M`), so the worker shards exercise their per-model batch
+//! grouping. The `--requests` total is split exactly across the clients.
 //!
 //! Every prediction is verified against the offline batch-path result of
 //! the model it targeted. Transient sheds (typed `STATUS_OVERLOADED` /
-//! `STATUS_DEADLINE_EXCEEDED`) are retried with jittered backoff
-//! ([`RetryPolicy`]) and the retries reported separately — they are the
-//! backpressure contract working, not errors — but any mismatch, typed
-//! rejection, or transport error fails the run. Closed-loop clients
-//! retry inline via [`Client::predict_with_backoff`]; open-loop
-//! receivers hand sheds back to their paced sender over a retry channel,
-//! so a resend is a new timed arrival rather than a stalled schedule.
+//! `STATUS_DEADLINE_EXCEEDED`) are retried inline with jittered backoff
+//! ([`Client::predict_with_backoff`]) and the retries reported
+//! separately — they are the backpressure contract working, not errors —
+//! but any mismatch, typed rejection, or transport error fails the run.
 //!
-//! `BENCH_serve.json` schema (all latencies are send→response, accepted
-//! requests only; `overloaded`/`deadline_expired` count requests still
-//! shed after every retry):
-//!
-//! ```json
-//! {
-//!   "bench": "serve",
-//!   "quick": false,
-//!   "config": {"models": 2, "requests": 12000, "clients": 8, "workers": 2,
-//!              "linger_us": 0, "max_batch": 512, "queue_cap": 4096},
-//!   "sweep": [
-//!     {"offered_rps": 10000.0, "achieved_rps": 9992.4,
-//!      "p50_us": 23.4, "p99_us": 387.0, "p999_us": 900.5,
-//!      "served": 12000, "overloaded": 0, "deadline_expired": 0,
-//!      "retries": 0, "max_queue_depth": 12, "mean_batch": 1.03,
-//!      "mismatches": 0, "errors": 0}
-//!   ],
-//!   "overload": {"offered_rps": 60000.0, "queue_cap": 16, "linger_us": 2000,
-//!                "requests": 8000, "served": 992, "overloaded": 7008,
-//!                "deadline_expired": 0, "retries": 4831,
-//!                "max_queue_depth": 16, "p99_accepted_us": 2781.4,
-//!                "mismatches": 0, "errors": 0}
-//! }
-//! ```
-//!
-//! CI's release job gates on this file: non-empty sweep, ordered
-//! percentiles, zero mismatches/errors everywhere, present and sane
-//! `deadline_expired`/`retries` counters, `overloaded > 0` and
-//! `max_queue_depth <= queue_cap` in the probe, and a bounded
-//! `p99_accepted_us`.
+//! Open-loop latency under a fixed arrival rate is measured by the
+//! repository benchmark (`benchmark/`, workloads `serve-small` and
+//! `serve-s1`); overload shedding and the accepted-request tail are
+//! asserted by the serve crate's `event_loop` tests.
 //!
 //! ```text
 //! cargo run --release -p poetbin_bench --bin loadgen -- \
-//!     [--models PATH,PATH,...] [--requests N] [--clients C] [--workers W] \
-//!     [--lingers US,US,...] [--max-batch B] [--queue-cap Q] \
-//!     [--open-loop REQ_PER_S] [--slo] [--sweep RPS,RPS,...] \
-//!     [--backend interp|jit|auto]
+//!     [--models PATH,PATH,...] [--requests N] [--clients C] \
+//!     [--lingers US,US,...] [--backend interp|jit|auto]
 //! ```
 //!
-//! Defaults: the checked-in `deep.poetbin2` and `tiny.poetbin2` fixtures
-//! (`--model PATH` is still accepted for a single model), 12 000
-//! requests, 8 clients, 2 workers, lingers `0,200` µs, closed-loop,
-//! `auto` backend (`--backend` pins the served engines to one; the
-//! offline ground truth runs on the same engines either way).
+//! Defaults: the checked-in `deep.poetbin2` and `tiny.poetbin2` fixtures,
+//! 12 000 requests, 8 clients, lingers `0,200` µs, the default
+//! [`ServeConfig`] otherwise, and the `auto` backend (`--backend` pins
+//! the served engines to one; the offline ground truth runs on the same
+//! engines either way).
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use poetbin_bench::report::{self, Json};
 use poetbin_bits::{BitVec, FeatureMatrix};
 use poetbin_engine::{Backend, ClassifierEngine};
-use poetbin_serve::{
-    load_engine_with, Client, ClientSender, ModelRegistry, Response, RetryPolicy, ServeConfig,
-    Server,
-};
+use poetbin_serve::{load_engine_with, Client, ModelRegistry, RetryPolicy, ServeConfig, Server};
 
 struct Args {
     models: Vec<PathBuf>,
     requests: usize,
     clients: usize,
-    workers: usize,
     lingers_us: Vec<u64>,
-    max_batch: usize,
-    queue_cap: usize,
-    /// Aggregate offered arrival rate in requests/s; `None` = closed-loop.
-    open_loop: Option<f64>,
-    /// Run the SLO harness (rate sweep + overload probe + JSON artifact).
-    slo: bool,
-    /// Offered rates for the `--slo` sweep; empty = built-in defaults.
-    sweep: Vec<f64>,
     /// Engine backend for the served models (and the offline ground
     /// truth, which is computed on the same engines).
     backend: Backend,
@@ -122,56 +61,29 @@ impl Args {
             ],
             requests: 12_000,
             clients: 8,
-            workers: 2,
             lingers_us: vec![0, 200],
-            max_batch: 512,
-            queue_cap: 4096,
-            open_loop: None,
-            slo: false,
-            sweep: Vec::new(),
             backend: Backend::default(),
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
-            if flag == "--slo" {
-                args.slo = true;
-                continue;
-            }
-            let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
-                "--model" => args.models = vec![PathBuf::from(value)],
                 "--models" => {
-                    args.models = value.split(',').map(|p| PathBuf::from(p.trim())).collect();
-                }
-                "--requests" => args.requests = value.parse().map_err(|_| "bad --requests")?,
-                "--clients" => args.clients = value.parse().map_err(|_| "bad --clients")?,
-                "--workers" => args.workers = value.parse().map_err(|_| "bad --workers")?,
-                "--max-batch" => args.max_batch = value.parse().map_err(|_| "bad --max-batch")?,
-                "--queue-cap" => args.queue_cap = value.parse().map_err(|_| "bad --queue-cap")?,
-                "--open-loop" => {
-                    let rate: f64 = value.parse().map_err(|_| "bad --open-loop")?;
-                    if rate <= 0.0 || !rate.is_finite() {
-                        return Err("--open-loop rate must be positive".into());
-                    }
-                    args.open_loop = Some(rate);
-                }
-                "--sweep" => {
-                    args.sweep = value
+                    args.models = value()?
                         .split(',')
-                        .map(|v| v.trim().parse().map_err(|_| "bad --sweep"))
-                        .collect::<Result<_, _>>()?;
-                    if args.sweep.iter().any(|r: &f64| *r <= 0.0 || !r.is_finite()) {
-                        return Err("--sweep rates must be positive".into());
-                    }
+                        .map(|p| PathBuf::from(p.trim()))
+                        .collect();
                 }
+                "--requests" => args.requests = value()?.parse().map_err(|_| "bad --requests")?,
+                "--clients" => args.clients = value()?.parse().map_err(|_| "bad --clients")?,
                 "--lingers" => {
-                    args.lingers_us = value
+                    args.lingers_us = value()?
                         .split(',')
                         .map(|v| v.trim().parse().map_err(|_| "bad --lingers"))
                         .collect::<Result<_, _>>()?;
                 }
                 "--backend" => {
-                    args.backend = value
+                    args.backend = value()?
                         .parse()
                         .map_err(|_| "--backend must be one of interp, jit, auto")?;
                 }
@@ -182,14 +94,21 @@ impl Args {
             || args.clients == 0
             || args.lingers_us.is_empty()
             || args.models.is_empty()
-            || args.queue_cap == 0
         {
-            return Err(
-                "models, requests, clients, queue-cap and lingers must be non-empty".into(),
-            );
+            return Err("models, requests, clients and lingers must be non-empty".into());
         }
         Ok(args)
     }
+}
+
+/// How many requests each of `clients` clients sends so that together
+/// they send exactly `requests`: the first `requests % clients` clients
+/// take one extra.
+fn split_requests(requests: usize, clients: usize) -> Vec<usize> {
+    let (share, extra) = (requests / clients, requests % clients);
+    (0..clients)
+        .map(|c| share + usize::from(c < extra))
+        .collect()
 }
 
 /// The deterministic row a given (client, sequence) pair sends — shared
@@ -215,14 +134,14 @@ struct Target {
 
 /// The full request sequence for one client: request `i` targets model
 /// `i mod M`, each group batch-predicted offline for ground truth.
-fn client_plan(engines: &[Arc<ClassifierEngine>], client: usize, per_client: usize) -> Vec<Target> {
+fn client_plan(engines: &[Arc<ClassifierEngine>], client: usize, count: usize) -> Vec<Target> {
     let m = engines.len();
     let mut by_model: Vec<Vec<(usize, BitVec)>> = (0..m).map(|_| Vec::new()).collect();
-    for i in 0..per_client {
+    for i in 0..count {
         let k = i % m;
         by_model[k].push((i, load_row(engines[k].num_features(), client, i)));
     }
-    let mut plan: Vec<Option<Target>> = (0..per_client).map(|_| None).collect();
+    let mut plan: Vec<Option<Target>> = (0..count).map(|_| None).collect();
     for (k, items) in by_model.into_iter().enumerate() {
         if items.is_empty() {
             continue;
@@ -243,19 +162,13 @@ fn client_plan(engines: &[Arc<ClassifierEngine>], client: usize, per_client: usi
 }
 
 struct RunResult {
-    /// Send→response latencies of *accepted* (predicted) requests only.
+    /// Round-trip latencies of predicted requests, sorted.
     latencies_ns: Vec<u64>,
     wall: Duration,
     mismatches: u64,
     errors: u64,
-    /// Requests still shed `STATUS_OVERLOADED` after every retry.
-    overloaded: u64,
-    /// Requests still shed `STATUS_DEADLINE_EXCEEDED` after every retry.
-    deadline_expired: u64,
     /// Backoff resends the clients performed on transient sheds.
     retries: u64,
-    /// Highest total queue depth any sample saw during the run.
-    max_queue_depth: usize,
     mean_batch: f64,
     served: u64,
 }
@@ -268,53 +181,46 @@ fn percentile(sorted_ns: &[u64], p: f64) -> f64 {
     sorted_ns[rank] as f64 / 1_000.0
 }
 
-fn build_config(args: &Args, linger_us: u64) -> ServeConfig {
-    ServeConfig {
-        workers: args.workers,
-        linger: Duration::from_micros(linger_us),
-        max_batch: args.max_batch,
-        queue_cap: args.queue_cap,
-        ..ServeConfig::default()
-    }
-}
-
-fn start_server(engines: &[Arc<ClassifierEngine>], config: ServeConfig) -> Server {
+fn start_server(engines: &[Arc<ClassifierEngine>], linger_us: u64) -> Server {
     let mut registry = ModelRegistry::new();
     for (k, engine) in engines.iter().enumerate() {
         registry.register(format!("m{k}"), Arc::clone(engine));
     }
+    let config = ServeConfig {
+        linger: Duration::from_micros(linger_us),
+        ..ServeConfig::default()
+    };
     Server::start(Arc::new(registry), "127.0.0.1:0", config).expect("bind")
 }
 
-/// Closed-loop: each client thread ping-pongs `predict_with_backoff`
-/// calls — a transient shed sleeps the jittered backoff and resends
-/// inline (the next planned request waits behind it, which is exactly
-/// what closed-loop means). Latency includes any backoff sleeps.
+/// Each client thread ping-pongs `predict_with_backoff` calls — a
+/// transient shed sleeps the jittered backoff and resends inline (the
+/// next planned request waits behind it, which is exactly what
+/// closed-loop means). Latency includes any backoff sleeps.
 fn run_closed(
     engines: &[Arc<ClassifierEngine>],
     clients: usize,
     requests: usize,
-    config: ServeConfig,
+    linger_us: u64,
 ) -> RunResult {
-    let server = start_server(engines, config);
+    let server = start_server(engines, linger_us);
     let addr = server.local_addr();
-    let per_client = requests.div_ceil(clients);
 
     let start = Instant::now();
-    let mut all_latencies: Vec<u64> = Vec::with_capacity(per_client * clients);
+    let mut all_latencies: Vec<u64> = Vec::with_capacity(requests);
     let mut mismatches = 0u64;
     let mut errors = 0u64;
     let mut retries = 0u64;
     std::thread::scope(|scope| {
         let mut joins = Vec::new();
-        for c in 0..clients {
+        for (c, count) in split_requests(requests, clients).into_iter().enumerate() {
             joins.push(scope.spawn(move || {
-                let plan = client_plan(engines, c, per_client);
+                let plan = client_plan(engines, c, count);
                 let policy = RetryPolicy {
                     seed: c as u64,
                     ..RetryPolicy::default()
                 };
-                let mut latencies = Vec::with_capacity(per_client);
+                let mut latencies = Vec::with_capacity(count);
                 let mut mismatches = 0u64;
                 let mut errors = 0u64;
                 let mut retries = 0u64;
@@ -335,7 +241,7 @@ fn run_closed(
                             }
                         }
                     }
-                    Err(_) => errors += per_client as u64,
+                    Err(_) => errors += count as u64,
                 }
                 (latencies, mismatches, errors, retries)
             }));
@@ -358,242 +264,7 @@ fn run_closed(
         wall,
         mismatches,
         errors,
-        overloaded: 0,
-        deadline_expired: 0,
         retries,
-        max_queue_depth: 0,
-        mean_batch,
-        served,
-    }
-}
-
-/// Sends one planned request, recording `id → (plan index, attempt)`
-/// under the map lock held *across* the send — the response cannot
-/// outrun the mapping, because the receiver must take the same lock to
-/// resolve it. Stamps the send time for the latency measurement.
-fn send_tracked(
-    tx: &mut ClientSender,
-    id_map: &Mutex<HashMap<u64, (usize, u32)>>,
-    sent_at: &[AtomicU64],
-    epoch: Instant,
-    target: &Target,
-    idx: usize,
-    attempt: u32,
-) -> bool {
-    let mut map = id_map.lock().expect("id map lock");
-    sent_at[idx].store(epoch.elapsed().as_nanos() as u64, Ordering::Release);
-    match tx.send_to(target.model_id, &target.row) {
-        Ok(id) => {
-            map.insert(id, (idx, attempt));
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-/// Open-loop: per client, a timer-paced sender injects requests on an
-/// absolute schedule while a separate receiver drains responses and
-/// measures send→response latency. A transient shed travels back to the
-/// sender over a retry channel and is resent after its jittered backoff
-/// — a new timed arrival, so retries add offered load instead of
-/// stalling the schedule. A sampler thread polls the server's total
-/// queue depth throughout, so the artifact records the worst backlog the
-/// bounded queues ever reached.
-fn run_open(
-    engines: &[Arc<ClassifierEngine>],
-    clients: usize,
-    requests: usize,
-    config: ServeConfig,
-    rate: f64,
-) -> RunResult {
-    let server = start_server(engines, config);
-    let addr = server.local_addr();
-    let per_client = requests.div_ceil(clients);
-    // Global inter-arrival gap; client `c` owns arrival slots
-    // `c, c + clients, c + 2·clients, …` so the aggregate stream is
-    // evenly spaced without coordination.
-    let gap = Duration::from_secs_f64(1.0 / rate);
-
-    let mut all_latencies: Vec<u64> = Vec::with_capacity(per_client * clients);
-    let mut mismatches = 0u64;
-    let mut errors = 0u64;
-    let mut overloaded = 0u64;
-    let mut deadline_expired = 0u64;
-    let mut retries = 0u64;
-    let sampling = AtomicBool::new(true);
-    let max_depth = AtomicUsize::new(0);
-    let epoch = Instant::now();
-    std::thread::scope(|scope| {
-        let server = &server;
-        let sampling = &sampling;
-        let max_depth = &max_depth;
-        let sampler = scope.spawn(move || {
-            while sampling.load(Ordering::Relaxed) {
-                max_depth.fetch_max(server.queue_depth(), Ordering::Relaxed);
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        });
-        let mut joins = Vec::new();
-        for c in 0..clients {
-            joins.push(scope.spawn(move || {
-                let plan = client_plan(engines, c, per_client);
-                let client = match Client::connect(addr) {
-                    Ok(client) => client,
-                    Err(_) => return (Vec::new(), 0, per_client as u64, 0, 0, 0),
-                };
-                let (mut tx, mut rx) = client.into_split();
-                let sent_at: Vec<AtomicU64> = (0..per_client).map(|_| AtomicU64::new(0)).collect();
-                let policy = RetryPolicy {
-                    seed: c as u64,
-                    ..RetryPolicy::default()
-                };
-                let id_map: Mutex<HashMap<u64, (usize, u32)>> = Mutex::new(HashMap::new());
-                let (retry_tx, retry_rx) = mpsc::channel::<(usize, u32)>();
-
-                std::thread::scope(|s| {
-                    let sent_at = &sent_at;
-                    let plan = &plan;
-                    let id_map = &id_map;
-                    let policy = &policy;
-                    let send_half = s.spawn(move || {
-                        let mut retries = 0u64;
-                        'plan: for (i, target) in plan.iter().enumerate() {
-                            // Serve any due retries before pacing the
-                            // next planned arrival.
-                            while let Ok((idx, attempt)) = retry_rx.try_recv() {
-                                retries += 1;
-                                std::thread::sleep(policy.backoff(attempt - 1, idx as u64));
-                                if !send_tracked(
-                                    &mut tx, id_map, sent_at, epoch, &plan[idx], idx, attempt,
-                                ) {
-                                    break 'plan;
-                                }
-                            }
-                            let target_at = epoch + gap * (c + i * clients) as u32;
-                            loop {
-                                let now = Instant::now();
-                                if now >= target_at {
-                                    break;
-                                }
-                                std::thread::sleep(target_at - now);
-                            }
-                            if !send_tracked(&mut tx, id_map, sent_at, epoch, target, i, 0) {
-                                break;
-                            }
-                        }
-                        // The schedule is done; keep resending sheds
-                        // until the receiver settles every request and
-                        // drops its end of the channel.
-                        while let Ok((idx, attempt)) = retry_rx.recv() {
-                            retries += 1;
-                            std::thread::sleep(policy.backoff(attempt - 1, idx as u64));
-                            if !send_tracked(
-                                &mut tx, id_map, sent_at, epoch, &plan[idx], idx, attempt,
-                            ) {
-                                break;
-                            }
-                        }
-                        retries
-                    });
-
-                    let mut latencies = Vec::with_capacity(per_client);
-                    let mut finals = 0u64;
-                    let mut mismatches = 0u64;
-                    let mut overloaded = 0u64;
-                    let mut deadline_expired = 0u64;
-                    while finals < per_client as u64 {
-                        match rx.recv() {
-                            Ok((id, response)) => {
-                                let resolved = id_map.lock().expect("id map lock").remove(&id);
-                                let Some((idx, attempt)) = resolved else {
-                                    // An id this client never sent; settle
-                                    // it so the run terminates — the
-                                    // mismatch fails the run anyway.
-                                    mismatches += 1;
-                                    finals += 1;
-                                    continue;
-                                };
-                                match response {
-                                    Response::Class(class) => {
-                                        finals += 1;
-                                        let t0 = sent_at[idx].load(Ordering::Acquire);
-                                        latencies.push(epoch.elapsed().as_nanos() as u64 - t0);
-                                        if class != plan[idx].expected {
-                                            mismatches += 1;
-                                        }
-                                    }
-                                    // A transient shed goes back to the
-                                    // sender for a jittered resend; it only
-                                    // settles as shed once the retry budget
-                                    // is spent (or the sender is gone).
-                                    Response::Overloaded | Response::DeadlineExceeded => {
-                                        if attempt < policy.max_retries
-                                            && retry_tx.send((idx, attempt + 1)).is_ok()
-                                        {
-                                            continue;
-                                        }
-                                        finals += 1;
-                                        if response == Response::Overloaded {
-                                            overloaded += 1;
-                                        } else {
-                                            deadline_expired += 1;
-                                        }
-                                    }
-                                    // Any other typed rejection is impossible
-                                    // for well-formed traffic; count it as a
-                                    // mismatch.
-                                    _ => {
-                                        finals += 1;
-                                        mismatches += 1;
-                                    }
-                                }
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    // Unblocks the sender's retry wait.
-                    drop(retry_tx);
-                    let retries = send_half.join().expect("sender thread");
-                    // Requests that never settled (unsent, or sent but
-                    // never answered) are transport errors.
-                    let errors = (per_client as u64).saturating_sub(finals);
-                    (
-                        latencies,
-                        mismatches,
-                        errors,
-                        overloaded,
-                        deadline_expired,
-                        retries,
-                    )
-                })
-            }));
-        }
-        for j in joins {
-            let (lat, mis, err, ovl, ddl, rtr) = j.join().expect("client thread");
-            all_latencies.extend(lat);
-            mismatches += mis;
-            errors += err;
-            overloaded += ovl;
-            deadline_expired += ddl;
-            retries += rtr;
-        }
-        sampling.store(false, Ordering::Relaxed);
-        sampler.join().expect("sampler thread");
-    });
-    let wall = epoch.elapsed();
-    let stats = server.stats();
-    let (mean_batch, served) = (stats.mean_batch(), stats.served());
-    server.shutdown();
-    all_latencies.sort_unstable();
-    RunResult {
-        latencies_ns: all_latencies,
-        wall,
-        mismatches,
-        errors,
-        overloaded,
-        deadline_expired,
-        retries,
-        max_queue_depth: max_depth.load(Ordering::Relaxed),
         mean_batch,
         served,
     }
@@ -601,218 +272,24 @@ fn run_open(
 
 fn print_header() {
     println!(
-        "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8} {:>11} {:>9}",
-        "rate",
-        "req/s",
-        "p50_us",
-        "p99_us",
-        "p999_us",
-        "served",
-        "shed",
-        "expired",
-        "retries",
-        "mean_batch",
-        "errors"
+        "{:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>11} {:>9}",
+        "linger", "req/s", "p50_us", "p99_us", "served", "retries", "mean_batch", "errors"
     );
 }
 
-fn print_row(label: &str, result: &RunResult) {
+fn print_row(linger_us: u64, result: &RunResult) {
     let rps = result.latencies_ns.len() as f64 / result.wall.as_secs_f64();
     println!(
-        "{label:>10} {:>10.0} {:>10.1} {:>10.1} {:>10.1} {:>10} {:>8} {:>8} {:>8} {:>11.2} {:>9}",
+        "{:>10} {:>10.0} {:>10.1} {:>10.1} {:>10} {:>8} {:>11.2} {:>9}",
+        format!("{linger_us}us"),
         rps,
         percentile(&result.latencies_ns, 0.50),
         percentile(&result.latencies_ns, 0.99),
-        percentile(&result.latencies_ns, 0.999),
         result.served,
-        result.overloaded,
-        result.deadline_expired,
         result.retries,
         result.mean_batch,
         result.mismatches + result.errors
     );
-}
-
-/// One sweep entry of the `BENCH_serve.json` artifact.
-fn sweep_entry(offered_rps: f64, result: &RunResult) -> Json {
-    let achieved = result.latencies_ns.len() as f64 / result.wall.as_secs_f64();
-    Json::obj([
-        ("offered_rps", Json::Float(offered_rps)),
-        ("achieved_rps", Json::Float(achieved)),
-        (
-            "p50_us",
-            Json::Float(percentile(&result.latencies_ns, 0.50)),
-        ),
-        (
-            "p99_us",
-            Json::Float(percentile(&result.latencies_ns, 0.99)),
-        ),
-        (
-            "p999_us",
-            Json::Float(percentile(&result.latencies_ns, 0.999)),
-        ),
-        ("served", Json::Int(result.served as i64)),
-        ("overloaded", Json::Int(result.overloaded as i64)),
-        (
-            "deadline_expired",
-            Json::Int(result.deadline_expired as i64),
-        ),
-        ("retries", Json::Int(result.retries as i64)),
-        ("max_queue_depth", Json::Int(result.max_queue_depth as i64)),
-        ("mean_batch", Json::Float(result.mean_batch)),
-        ("mismatches", Json::Int(result.mismatches as i64)),
-        ("errors", Json::Int(result.errors as i64)),
-    ])
-}
-
-/// The SLO harness: an open-loop rate sweep at the first configured
-/// linger, then a deliberate overload probe (single worker, tiny queue,
-/// long linger) that must shed — demonstrating bounded queue depth and a
-/// bounded accepted-request tail while the server is saturated. Results
-/// land in `BENCH_serve.json`.
-fn run_slo(engines: &[Arc<ClassifierEngine>], args: &Args) -> ExitCode {
-    let quick = std::env::var("POETBIN_SERVE_QUICK").is_ok_and(|v| v == "1");
-    let rates: Vec<f64> = if !args.sweep.is_empty() {
-        args.sweep.clone()
-    } else if quick {
-        vec![10_000.0, 40_000.0]
-    } else {
-        vec![10_000.0, 40_000.0, 120_000.0]
-    };
-    let requests = if quick {
-        args.requests.min(4_000)
-    } else {
-        args.requests
-    };
-    let linger_us = args.lingers_us[0];
-
-    println!(
-        "SLO sweep: {requests} requests round-robin over {} models · {} senders · \
-         {} workers · linger {linger_us} µs · queue cap {} · rates {rates:?}",
-        engines.len(),
-        args.clients,
-        args.workers,
-        args.queue_cap,
-    );
-    print_header();
-    let mut failed = false;
-    let mut sweep_rows: Vec<Json> = Vec::new();
-    for &rate in &rates {
-        let result = run_open(
-            engines,
-            args.clients,
-            requests,
-            build_config(args, linger_us),
-            rate,
-        );
-        print_row(&format!("{rate:.0}"), &result);
-        if result.mismatches > 0 || result.errors > 0 {
-            eprintln!(
-                "loadgen: rate {rate:.0}: {} mismatches, {} transport errors",
-                result.mismatches, result.errors
-            );
-            failed = true;
-        }
-        sweep_rows.push(sweep_entry(rate, &result));
-    }
-
-    // Overload probe: one worker, a 16-slot queue, and a 2 ms linger
-    // throttle the server far below the offered rate, so the bounded
-    // queue must shed. Accepted requests still clear in ~one linger, so
-    // their p99 stays bounded even though the server is saturated.
-    let probe_rate = if quick { 30_000.0 } else { 60_000.0 };
-    let probe_requests = if quick { 2_000 } else { 8_000 };
-    let probe_queue_cap = 16usize;
-    let probe_linger_us = 2_000u64;
-    let probe_config = ServeConfig {
-        workers: 1,
-        linger: Duration::from_micros(probe_linger_us),
-        max_batch: args.max_batch,
-        queue_cap: probe_queue_cap,
-        ..ServeConfig::default()
-    };
-    println!(
-        "overload probe: {probe_requests} requests at {probe_rate:.0} req/s offered · \
-         1 worker · queue cap {probe_queue_cap} · linger {probe_linger_us} µs"
-    );
-    print_header();
-    let probe = run_open(
-        engines,
-        args.clients,
-        probe_requests,
-        probe_config,
-        probe_rate,
-    );
-    print_row("overload", &probe);
-    if probe.mismatches > 0 || probe.errors > 0 {
-        eprintln!(
-            "loadgen: overload probe: {} mismatches, {} transport errors",
-            probe.mismatches, probe.errors
-        );
-        failed = true;
-    }
-    if probe.overloaded == 0 {
-        eprintln!("loadgen: overload probe shed nothing — backpressure untested");
-        failed = true;
-    }
-    if probe.max_queue_depth > probe_queue_cap {
-        eprintln!(
-            "loadgen: overload probe queue depth {} exceeded its bound",
-            probe.max_queue_depth
-        );
-        failed = true;
-    }
-
-    let doc = Json::obj([
-        ("bench", Json::str("serve")),
-        ("quick", Json::Bool(quick)),
-        (
-            "config",
-            Json::obj([
-                ("models", Json::Int(engines.len() as i64)),
-                ("requests", Json::Int(requests as i64)),
-                ("clients", Json::Int(args.clients as i64)),
-                ("workers", Json::Int(args.workers as i64)),
-                ("linger_us", Json::Int(linger_us as i64)),
-                ("max_batch", Json::Int(args.max_batch as i64)),
-                ("queue_cap", Json::Int(args.queue_cap as i64)),
-            ]),
-        ),
-        ("sweep", Json::Arr(sweep_rows)),
-        (
-            "overload",
-            Json::obj([
-                ("offered_rps", Json::Float(probe_rate)),
-                ("queue_cap", Json::Int(probe_queue_cap as i64)),
-                ("linger_us", Json::Int(probe_linger_us as i64)),
-                ("requests", Json::Int(probe_requests as i64)),
-                ("served", Json::Int(probe.served as i64)),
-                ("overloaded", Json::Int(probe.overloaded as i64)),
-                ("deadline_expired", Json::Int(probe.deadline_expired as i64)),
-                ("retries", Json::Int(probe.retries as i64)),
-                ("max_queue_depth", Json::Int(probe.max_queue_depth as i64)),
-                (
-                    "p99_accepted_us",
-                    Json::Float(percentile(&probe.latencies_ns, 0.99)),
-                ),
-                ("mismatches", Json::Int(probe.mismatches as i64)),
-                ("errors", Json::Int(probe.errors as i64)),
-            ]),
-        ),
-    ]);
-    match report::write_named_root("serve", &doc) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("loadgen: writing BENCH_serve.json: {e}");
-            failed = true;
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        println!("all accepted responses matched the offline batch path of their target model");
-        ExitCode::SUCCESS
-    }
 }
 
 fn main() -> ExitCode {
@@ -844,39 +321,22 @@ fn main() -> ExitCode {
             }
         }
     }
-    if args.slo {
-        return run_slo(&engines, &args);
-    }
-    match args.open_loop {
-        Some(rate) => println!(
-            "{} requests round-robin over {} models · {} open-loop senders at {rate:.0} req/s \
-             offered · {} workers · max batch {}",
-            args.requests,
-            engines.len(),
-            args.clients,
-            args.workers,
-            args.max_batch
-        ),
-        None => println!(
-            "{} requests round-robin over {} models · {} closed-loop clients · {} workers · \
-             max batch {}",
-            args.requests,
-            engines.len(),
-            args.clients,
-            args.workers,
-            args.max_batch
-        ),
-    }
+    let config = ServeConfig::default();
+    println!(
+        "{} requests round-robin over {} models · {} closed-loop clients · {} workers · \
+         max batch {}",
+        args.requests,
+        engines.len(),
+        args.clients,
+        config.workers,
+        config.max_batch
+    );
     print_header();
 
     let mut failed = false;
     for &linger_us in &args.lingers_us {
-        let config = build_config(&args, linger_us);
-        let result = match args.open_loop {
-            Some(rate) => run_open(&engines, args.clients, args.requests, config, rate),
-            None => run_closed(&engines, args.clients, args.requests, config),
-        };
-        print_row(&format!("{linger_us}us"), &result);
+        let result = run_closed(&engines, args.clients, args.requests, linger_us);
+        print_row(linger_us, &result);
         if result.mismatches > 0 || result.errors > 0 {
             eprintln!(
                 "loadgen: linger {linger_us} µs: {} mismatches, {} transport errors",
@@ -890,5 +350,28 @@ fn main() -> ExitCode {
     } else {
         println!("all accepted responses matched the offline batch path of their target model");
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::split_requests;
+
+    #[test]
+    fn split_requests_sends_exactly_the_total() {
+        assert_eq!(split_requests(1000, 3), vec![334, 333, 333]);
+        assert_eq!(split_requests(1000, 4), vec![250; 4]);
+        assert_eq!(split_requests(12_000, 8), vec![1500; 8]);
+        for (requests, clients) in [(1, 1), (7, 7), (9, 4), (12_001, 8)] {
+            let split = split_requests(requests, clients);
+            assert_eq!(split.len(), clients);
+            assert_eq!(split.iter().sum::<usize>(), requests);
+            assert!(split.iter().max().unwrap() - split.iter().min().unwrap() <= 1);
+        }
+    }
+
+    #[test]
+    fn split_requests_with_fewer_requests_than_clients_idles_the_rest() {
+        assert_eq!(split_requests(2, 5), vec![1, 1, 0, 0, 0]);
     }
 }

@@ -10,10 +10,16 @@
 //! {
 //!   "bench": "engine",
 //!   "results": [
-//!     {"name": "engine_throughput/scalar_60k", "median_ns": 1222000000}
+//!     {
+//!       "name": "engine_throughput/scalar_60k",
+//!       "median_ns": 1222000000
+//!     }
 //!   ]
 //! }
 //! ```
+//!
+//! Richer artifacts (the `pipeline` binary's scenario reports) build a
+//! [`Json`] document and write it with [`write_named_root`].
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -33,22 +39,18 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Renders `(name, median)` pairs as the `BENCH_*.json` document.
-pub fn render_json(bench: &str, entries: &[(String, Duration)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{}\",\n", escape(bench)));
-    out.push_str("  \"results\": [\n");
-    for (i, (name, median)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"median_ns\": {}}}{comma}\n",
-            escape(name),
-            median.as_nanos()
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The flat `BENCH_*.json` document for `(name, median)` pairs.
+fn results_doc(bench: &str, entries: &[(String, Duration)]) -> Json {
+    let results = entries
+        .iter()
+        .map(|(name, median)| {
+            Json::obj([
+                ("name", Json::str(name.as_str())),
+                ("median_ns", Json::Int(median.as_nanos() as i64)),
+            ])
+        })
+        .collect();
+    Json::obj([("bench", Json::str(bench)), ("results", Json::Arr(results))])
 }
 
 /// Writes `BENCH_<bench>.json` at the repository root, returning the path.
@@ -57,17 +59,11 @@ pub fn render_json(bench: &str, entries: &[(String, Duration)]) -> String {
 ///
 /// Propagates file-creation and write failures.
 pub fn write_repo_root(bench: &str, entries: &[(String, Duration)]) -> std::io::Result<PathBuf> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(format!("BENCH_{bench}.json"));
-    let mut file = std::fs::File::create(&path)?;
-    file.write_all(render_json(bench, entries).as_bytes())?;
-    Ok(path)
+    write_named_root(bench, &results_doc(bench, entries))
 }
 
-/// A structured JSON value for richer artifacts than the flat
-/// `(name, median)` schema — the `pipeline` binary's scenario reports
-/// carry nested accuracy/timing/resource objects.
+/// A structured JSON value: the flat `(name, median)` results and the
+/// `pipeline` binary's nested accuracy/timing/resource reports alike.
 ///
 /// This is the workspace's one JSON emitter; keep it boring.
 #[derive(Clone, Debug, PartialEq)]
@@ -187,10 +183,10 @@ mod tests {
             ("group/fast".to_string(), Duration::from_nanos(1500)),
             ("group/\"odd\"".to_string(), Duration::from_micros(2)),
         ];
-        let json = render_json("engine", &entries);
+        let json = results_doc("engine", &entries).render();
         assert!(json.contains("\"bench\": \"engine\""));
-        assert!(json.contains("{\"name\": \"group/fast\", \"median_ns\": 1500},"));
-        assert!(json.contains("{\"name\": \"group/\\\"odd\\\"\", \"median_ns\": 2000}\n"));
+        assert!(json.contains("\"name\": \"group/fast\",\n      \"median_ns\": 1500\n"));
+        assert!(json.contains("\"name\": \"group/\\\"odd\\\"\",\n      \"median_ns\": 2000\n"));
         // Balanced braces/brackets — the structural sanity CI re-checks
         // with a real JSON parser.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -199,8 +195,8 @@ mod tests {
 
     #[test]
     fn renders_empty_result_list() {
-        let json = render_json("train", &[]);
-        assert!(json.contains("\"results\": [\n  ]"));
+        let json = results_doc("train", &[]).render();
+        assert!(json.contains("\"results\": []"));
     }
 
     #[test]

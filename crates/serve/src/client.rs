@@ -1,5 +1,5 @@
-//! A small blocking client for the serving protocol, used by the load
-//! generator and the integration tests.
+//! A small blocking client for the serving protocol, used by the
+//! closed-loop load generator and the integration tests.
 
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -109,7 +109,7 @@ impl RetryPolicy {
 /// Requests may be pipelined: any number of [`Client::send`] calls may be
 /// outstanding before the matching [`Client::recv`] calls, and the server
 /// is free to answer out of order (it answers a whole batch at once).
-/// [`Client::predict`] is the simple closed-loop form; an open-loop
+/// [`Client::predict`] is the simple closed-loop form; a pipelined
 /// caller splits the client into independently owned halves with
 /// [`Client::into_split`].
 pub struct Client {
@@ -300,8 +300,9 @@ impl Client {
 
     /// Splits the client into independently owned send and receive
     /// halves, so one thread can pace requests onto the wire while
-    /// another drains responses — the shape an *open-loop* load generator
-    /// needs (a closed-loop caller can just keep using [`Client::predict`]).
+    /// another drains responses — the shape pipelined callers and the
+    /// overload tests need (a closed-loop caller can just keep using
+    /// [`Client::predict`]).
     pub fn into_split(self) -> (ClientSender, ClientReceiver) {
         (self.sender, self.receiver)
     }

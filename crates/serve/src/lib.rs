@@ -89,9 +89,10 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 //!
-//! Throughput/latency numbers come from the load generator
-//! (`cargo run --release -p poetbin_bench --bin loadgen`): closed-loop
-//! for capacity, `--open-loop` rate sweeps for the latency SLO curves.
+//! Open-loop latency and throughput numbers come from the repository
+//! benchmark (`benchmark/`, workloads `serve-small` and `serve-s1`); the
+//! closed-loop round-trip smoke is `cargo run --release -p poetbin_bench
+//! --bin loadgen`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use common::{offline, start_test_server, test_row};
@@ -18,7 +18,7 @@ use poetbin_bits::BitVec;
 use poetbin_serve::protocol::{
     self, BAD_FRAME_ID, STATUS_BAD_REQUEST, STATUS_OK, STATUS_OVERLOADED, STATUS_UNKNOWN_MODEL,
 };
-use poetbin_serve::{Client, Response, ServeConfig};
+use poetbin_serve::{Client, Response, RetryPolicy, ServeConfig};
 
 /// Reads one response frame off a raw stream.
 fn recv_response(stream: &mut impl Read) -> (u64, u8, u16) {
@@ -154,6 +154,127 @@ fn overload_sheds_typed_responses_and_queue_depth_stays_bounded() {
         "every wire frame must land in exactly one outcome counter"
     );
     assert_eq!(stats.rejected(), 0);
+    server.shutdown();
+}
+
+/// The overload probe: one worker, a 16-slot queue and a 2 ms linger hold
+/// the server far below a 2 000-request pipelined burst, so the bounded
+/// queue must shed — and a client that retries its sheds with jittered
+/// backoff still gets every row settled exactly once, while accepted
+/// requests keep a bounded send→response tail. A sender thread sends the
+/// burst and then each resend after its backoff; a receiver thread
+/// settles responses. Sleeping the backoff in the receive loop instead
+/// would stall the drain and inflate the tail by two orders of magnitude.
+#[test]
+fn overload_probe_sheds_retries_and_keeps_the_accepted_tail_bounded() {
+    let f = 16;
+    let queue_cap = 16;
+    let config = ServeConfig {
+        workers: 1,
+        linger: Duration::from_millis(2),
+        queue_cap,
+        ..ServeConfig::default()
+    };
+    let (server, engine) = start_test_server(73, f, config);
+    let (mut tx, mut rx) = Client::connect(server.local_addr())
+        .expect("connect")
+        .into_split();
+
+    let total = 2_000;
+    let rows: Vec<BitVec> = (0..total).map(|i| test_row(f, 11, i)).collect();
+    let expected = offline(&engine, &rows);
+    let policy = RetryPolicy::default();
+    // id → (row, attempt, sent_at). The lock is held across each send, so
+    // a response cannot outrun its entry: the receiver takes the same
+    // lock to resolve it.
+    let in_flight: Mutex<HashMap<u64, (usize, u32, Instant)>> = Mutex::new(HashMap::new());
+    let (retry_tx, retry_rx) = mpsc::channel::<(usize, u32)>();
+
+    let (retries, mut accepted_ns, max_depth) = std::thread::scope(|scope| {
+        let (server, rows, in_flight, policy) = (&server, &rows, &in_flight, &policy);
+        let sender = scope.spawn(move || {
+            let mut send = |idx: usize, attempt: u32| {
+                let mut map = in_flight.lock().expect("in-flight lock");
+                let sent_at = Instant::now();
+                let id = tx.send(&rows[idx]).expect("send");
+                map.insert(id, (idx, attempt, sent_at));
+            };
+            for idx in 0..total {
+                send(idx, 0);
+            }
+            // Resend each shed until the receiver has settled every row
+            // and dropped its end of the channel.
+            let mut retries = 0u64;
+            while let Ok((idx, attempt)) = retry_rx.recv() {
+                std::thread::sleep(policy.backoff(attempt - 1, idx as u64));
+                send(idx, attempt);
+                retries += 1;
+            }
+            retries
+        });
+        let receiver = scope.spawn(move || {
+            // `total` distinct rows settled, none twice: every row settles
+            // exactly once, predicted or shed after every retry.
+            let mut settled = vec![false; total];
+            let mut accepted_ns = Vec::new();
+            let mut max_depth = 0;
+            let mut open = total;
+            while open > 0 {
+                max_depth = max_depth.max(server.queue_depth());
+                let (id, response) = rx.recv().expect("recv");
+                let (idx, attempt, sent_at) = in_flight
+                    .lock()
+                    .expect("in-flight lock")
+                    .remove(&id)
+                    .expect("unknown or duplicate response id");
+                match response {
+                    Response::Class(c) => {
+                        accepted_ns.push(sent_at.elapsed().as_nanos() as u64);
+                        assert_eq!(c, expected[idx], "row {idx} wrong class");
+                    }
+                    Response::Overloaded if attempt < policy.max_retries => {
+                        retry_tx.send((idx, attempt + 1)).expect("sender alive");
+                        continue;
+                    }
+                    Response::Overloaded => {}
+                    other => panic!("unexpected response {other:?}"),
+                }
+                assert!(!settled[idx], "row {idx} settled twice");
+                settled[idx] = true;
+                open -= 1;
+            }
+            max_depth = max_depth.max(server.queue_depth());
+            (accepted_ns, max_depth)
+        });
+        let (accepted_ns, max_depth) = receiver.join().expect("receiver thread");
+        let retries = sender.join().expect("sender thread");
+        (retries, accepted_ns, max_depth)
+    });
+
+    assert!(
+        max_depth <= queue_cap,
+        "queue depth {max_depth} exceeds the {queue_cap} bound"
+    );
+    assert!(retries > 0, "sheds were never retried");
+
+    accepted_ns.sort_unstable();
+    let p99 = Duration::from_nanos(accepted_ns[(accepted_ns.len() - 1) * 99 / 100]);
+    assert!(
+        p99 <= Duration::from_millis(100),
+        "accepted send→response p99 {p99:?} is unbounded"
+    );
+
+    let stats = server.stats();
+    assert!(
+        stats.overloaded() > 0,
+        "a {total}-request burst into a {queue_cap}-slot queue must shed"
+    );
+    assert_eq!(stats.served(), accepted_ns.len() as u64);
+    assert_eq!(
+        stats.received(),
+        stats.served() + stats.overloaded(),
+        "every wire frame must land in exactly one outcome counter"
+    );
     server.shutdown();
 }
 

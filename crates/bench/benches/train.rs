@@ -15,11 +15,15 @@
 //!   single-threaded and with the candidate scan sharded across cores;
 //!
 //! plus a `rinc_bank` group training a full boosted bank through the new
-//! resample draw-count fast path.
+//! resample draw-count fast path, and a `teacher_gemm` group timing the
+//! teacher CNN's tiled mat-mul kernel against the three seed loops it
+//! replaced, at the SVHN conv shapes of one 64-image batch.
 //!
 //! Before any timing, the bench trains each weight shape through both
-//! engines and asserts the trees are identical — a run that prints
-//! timings has also proven equivalence on this workload.
+//! engines and asserts the trees are identical, and runs each teacher
+//! product through both the kernel and its seed loop and asserts the
+//! outputs are bit-identical — a run that prints timings has also proven
+//! equivalence on these workloads.
 //!
 //! Run with `cargo bench -p poetbin_bench --bench train`; set
 //! `POETBIN_BENCH_QUICK=1` (the CI smoke mode) to shrink the example
@@ -34,6 +38,7 @@ use poetbin_bits::{BitVec, FeatureMatrix};
 use poetbin_boost::RincConfig;
 use poetbin_core::rinc_bank::RincBank;
 use poetbin_dt::{LevelTreeConfig, LevelWiseTree};
+use poetbin_nn::Tensor;
 
 /// SVHN-shaped task dimensions (S1 row: 512 features, P = 6).
 const FEATURES: usize = 512;
@@ -251,11 +256,160 @@ fn bench_train(c: &mut Criterion) {
     });
     group.finish();
 
+    bench_teacher_gemm(c, secs);
+
     let medians = criterion::take_recorded_medians();
     match poetbin_bench::report::write_repo_root("train", &medians) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => panic!("failed to write BENCH_train.json: {e}"),
     }
+}
+
+/// Deterministic values in (-1, 1), about one in five zero (ReLU- and
+/// padding-like zeros, which the seed `matmul`/`t_matmul` loops skipped).
+fn teacher_values(len: usize, salt: u64) -> Vec<f32> {
+    (0..len as u64)
+        .map(|i| {
+            let h = (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            if h.is_multiple_of(5) {
+                0.0
+            } else {
+                (h % 2001) as f32 / 1000.0 - 1.0
+            }
+        })
+        .collect()
+}
+
+/// The seed `Tensor::matmul` loop: i-k-j, skipping zero `a`.
+fn seed_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        let o_row = &mut out[i * n..(i + 1) * n];
+        for (kk, &a) in a[i * k..(i + 1) * k].iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in o_row.iter_mut().zip(&b[kk * n..(kk + 1) * n]) {
+                *o += a * b;
+            }
+        }
+    }
+    out
+}
+
+/// The seed `Tensor::t_matmul` loop: `a` stored `[k, m]`, k-i-j.
+fn seed_t_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for kk in 0..k {
+        let b_row = &b[kk * n..(kk + 1) * n];
+        for (i, &a) in a[kk * m..(kk + 1) * m].iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in out[i * n..(i + 1) * n].iter_mut().zip(b_row) {
+                *o += a * b;
+            }
+        }
+    }
+    out
+}
+
+/// The seed `Tensor::matmul_t` loop: one serial dot product per output.
+fn seed_matmul_t(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for (a, b) in a_row.iter().zip(&b[j * k..(j + 1) * k]) {
+                acc += a * b;
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+/// A seed product loop over row-major slices and `(m, k, n)`.
+type SeedLoop = fn(&[f32], &[f32], usize, usize, usize) -> Vec<f32>;
+
+/// One teacher product: its name, the kernel entry point, the seed loop
+/// and the stored operand shapes.
+struct TeacherProduct {
+    name: &'static str,
+    kernel: fn(&Tensor, &Tensor) -> Tensor,
+    seed: SeedLoop,
+    a_shape: [usize; 2],
+    b_shape: [usize; 2],
+    mkn: [usize; 3],
+}
+
+/// Times the tiled kernel against the seed loops at the SVHN conv shapes
+/// of a 64-image batch, after asserting bit-identical outputs.
+fn bench_teacher_gemm(c: &mut Criterion, secs: u64) {
+    let products = [
+        // conv1 forward: im2col [65536, 27] · W[16, 27]ᵀ.
+        TeacherProduct {
+            name: "matmul_t_m65536_k27_n16",
+            kernel: Tensor::matmul_t,
+            seed: seed_matmul_t,
+            a_shape: [65536, 27],
+            b_shape: [16, 27],
+            mkn: [65536, 27, 16],
+        },
+        // conv1 weight gradient: grad[65536, 16]ᵀ · im2col [65536, 27].
+        TeacherProduct {
+            name: "t_matmul_m16_k65536_n27",
+            kernel: Tensor::t_matmul,
+            seed: seed_t_matmul,
+            a_shape: [65536, 16],
+            b_shape: [65536, 27],
+            mkn: [16, 65536, 27],
+        },
+        // conv2 input gradient: grad[16384, 32] · W[32, 144].
+        TeacherProduct {
+            name: "matmul_m16384_k32_n144",
+            kernel: Tensor::matmul,
+            seed: seed_matmul,
+            a_shape: [16384, 32],
+            b_shape: [32, 144],
+            mkn: [16384, 32, 144],
+        },
+    ];
+    let mut group = c.benchmark_group("teacher_gemm");
+    group
+        .sample_size(if quick() { 3 } else { 10 })
+        .measurement_time(Duration::from_secs(secs))
+        .warm_up_time(Duration::from_millis(100));
+    for (i, p) in products.iter().enumerate() {
+        let a = Tensor::from_vec(
+            teacher_values(p.a_shape[0] * p.a_shape[1], 2 * i as u64),
+            p.a_shape.to_vec(),
+        );
+        let b = Tensor::from_vec(
+            teacher_values(p.b_shape[0] * p.b_shape[1], 2 * i as u64 + 1),
+            p.b_shape.to_vec(),
+        );
+        let [m, k, n] = p.mkn;
+        let fast = (p.kernel)(&a, &b);
+        let slow = (p.seed)(a.data(), b.data(), m, k, n);
+        assert!(
+            fast.data()
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(slow.iter().map(|v| v.to_bits())),
+            "teacher kernel diverged from the seed loop on {}",
+            p.name
+        );
+        group.bench_function(&format!("{}_seed", p.name), |bch| {
+            bch.iter(|| black_box((p.seed)(black_box(a.data()), b.data(), m, k, n)))
+        });
+        group.bench_function(&format!("{}_tiled", p.name), |bch| {
+            bch.iter(|| black_box((p.kernel)(black_box(&a), &b)))
+        });
+    }
+    println!("equivalence: teacher kernel bit-identical to the seed loops on all three shapes");
+    group.finish();
 }
 
 criterion_group!(benches, bench_train);

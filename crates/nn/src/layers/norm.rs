@@ -68,46 +68,59 @@ impl BatchNorm {
         EPS
     }
 
-    /// (channel index, elements per channel position) decomposition of an
-    /// element index for the supported layouts.
-    fn channel_of(shape: &[usize], idx: usize) -> usize {
+    /// The `(outer, inner)` extents around the channel axis: `[n, d]` is
+    /// `n` runs of one element per channel, `[n, c, h, w]` is `n` runs of
+    /// `h·w` contiguous elements per channel. (`inner` is at least 1, so
+    /// an empty image yields no runs rather than a zero chunk size.)
+    fn runs(shape: &[usize], channels: usize) -> (usize, usize) {
         match shape.len() {
-            2 => idx % shape[1],
-            4 => (idx / (shape[2] * shape[3])) % shape[1],
+            2 => assert_eq!(shape[1], channels, "batchnorm width mismatch"),
+            4 => assert_eq!(shape[1], channels, "batchnorm channel mismatch"),
             _ => panic!("batchnorm supports 2-D or 4-D tensors, got {shape:?}"),
         }
+        (shape[0], shape[2..].iter().product::<usize>().max(1))
     }
+}
+
+/// Visits `data` as `(channel, run)` pairs in flat-index order, where each
+/// run is one channel's contiguous `inner` elements.
+fn channel_runs<T>(
+    data: &[T],
+    channels: usize,
+    inner: usize,
+) -> impl Iterator<Item = (usize, &[T])> {
+    data.chunks_exact(inner)
+        .enumerate()
+        .map(move |(r, run)| (r % channels, run))
 }
 
 impl Layer for BatchNorm {
     fn forward(&mut self, mut x: Tensor, mode: Mode) -> Tensor {
         let shape = x.shape().to_vec();
         let c = self.channels;
-        match shape.len() {
-            2 => assert_eq!(shape[1], c, "batchnorm width mismatch"),
-            4 => assert_eq!(shape[1], c, "batchnorm channel mismatch"),
-            _ => panic!("batchnorm supports 2-D or 4-D tensors, got {shape:?}"),
-        }
+        let (outer, inner) = Self::runs(&shape, c);
 
+        // Every per-channel sum runs in flat-index order.
         let (mean, var) = if mode == Mode::Train {
+            let count = (outer * inner).max(1) as f64;
             let mut mean = vec![0.0f64; c];
-            let mut count = vec![0usize; c];
-            for (i, &v) in x.data().iter().enumerate() {
-                let ch = Self::channel_of(&shape, i);
-                mean[ch] += v as f64;
-                count[ch] += 1;
+            for (ch, run) in channel_runs(x.data(), c, inner) {
+                for &v in run {
+                    mean[ch] += v as f64;
+                }
             }
-            for ch in 0..c {
-                mean[ch] /= count[ch].max(1) as f64;
+            for m in &mut mean {
+                *m /= count;
             }
             let mut var = vec![0.0f64; c];
-            for (i, &v) in x.data().iter().enumerate() {
-                let ch = Self::channel_of(&shape, i);
-                let d = v as f64 - mean[ch];
-                var[ch] += d * d;
+            for (ch, run) in channel_runs(x.data(), c, inner) {
+                for &v in run {
+                    let d = v as f64 - mean[ch];
+                    var[ch] += d * d;
+                }
             }
-            for ch in 0..c {
-                var[ch] /= count[ch].max(1) as f64;
+            for v in &mut var {
+                *v /= count;
             }
             for ch in 0..c {
                 self.running_mean[ch] =
@@ -127,17 +140,25 @@ impl Layer for BatchNorm {
         let gamma = self.gamma.value.data();
         let beta = self.beta.value.data();
         let mut x_hat = if mode == Mode::Train {
-            Vec::with_capacity(x.len())
+            vec![0.0f32; x.len()]
         } else {
             Vec::new()
         };
-        for (i, v) in x.data_mut().iter_mut().enumerate() {
-            let ch = Self::channel_of(&shape, i);
-            let norm = (*v - mean[ch]) * inv_std[ch];
+        for (r, run) in x.data_mut().chunks_exact_mut(inner).enumerate() {
+            let ch = r % c;
+            let (mu, s, g, b) = (mean[ch], inv_std[ch], gamma[ch], beta[ch]);
             if mode == Mode::Train {
-                x_hat.push(norm);
+                let hat = &mut x_hat[r * inner..(r + 1) * inner];
+                for (v, h) in run.iter_mut().zip(hat) {
+                    let norm = (*v - mu) * s;
+                    *h = norm;
+                    *v = g * norm + b;
+                }
+            } else {
+                for v in run {
+                    *v = g * ((*v - mu) * s) + b;
+                }
             }
-            *v = gamma[ch] * norm + beta[ch];
         }
         if mode == Mode::Train {
             self.cache = Some(NormCache {
@@ -156,15 +177,18 @@ impl Layer for BatchNorm {
             .expect("batchnorm backward without training forward");
         let shape = cache.shape;
         let c = self.channels;
+        let (_, inner) = Self::runs(&shape, c);
         let n_per_c = grad.len() / c;
 
-        // Per-channel reductions.
+        // Per-channel reductions, each in flat-index order.
         let mut sum_dy = vec![0.0f64; c];
         let mut sum_dy_xhat = vec![0.0f64; c];
-        for (i, &g) in grad.data().iter().enumerate() {
-            let ch = Self::channel_of(&shape, i);
-            sum_dy[ch] += g as f64;
-            sum_dy_xhat[ch] += g as f64 * cache.x_hat[i] as f64;
+        let hats = cache.x_hat.chunks_exact(inner);
+        for ((ch, run), hat) in channel_runs(grad.data(), c, inner).zip(hats) {
+            for (&g, &h) in run.iter().zip(hat) {
+                sum_dy[ch] += g as f64;
+                sum_dy_xhat[ch] += g as f64 * h as f64;
+            }
         }
         for ch in 0..c {
             self.beta.grad.data_mut()[ch] += sum_dy[ch] as f32;
@@ -172,14 +196,19 @@ impl Layer for BatchNorm {
         }
 
         let gamma = self.gamma.value.data();
-        let mut dx = Tensor::zeros(shape.clone());
-        for (i, d) in dx.data_mut().iter_mut().enumerate() {
-            let ch = Self::channel_of(&shape, i);
-            let g = grad.data()[i] as f64;
-            let term = g
-                - sum_dy[ch] / n_per_c as f64
-                - cache.x_hat[i] as f64 * sum_dy_xhat[ch] / n_per_c as f64;
-            *d = (gamma[ch] as f64 * cache.inv_std[ch] as f64 * term) as f32;
+        let mut dx = Tensor::zeros(shape);
+        let hats = cache.x_hat.chunks_exact(inner);
+        let g_runs = grad.data().chunks_exact(inner);
+        let runs = dx.data_mut().chunks_exact_mut(inner).zip(g_runs).zip(hats);
+        for (r, ((d_run, g_run), hat)) in runs.enumerate() {
+            let ch = r % c;
+            let n = n_per_c as f64;
+            let mean_dy = sum_dy[ch] / n;
+            let scale = gamma[ch] as f64 * cache.inv_std[ch] as f64;
+            for ((d, &g), &h) in d_run.iter_mut().zip(g_run).zip(hat) {
+                let term = g as f64 - mean_dy - h as f64 * sum_dy_xhat[ch] / n;
+                *d = (scale * term) as f32;
+            }
         }
         dx
     }

@@ -47,28 +47,31 @@ impl Layer for MaxPool2d {
             self.size
         );
         let (oh, ow) = (h / self.size, w / self.size);
-        let mut out = vec![f32::NEG_INFINITY; n * c * oh * ow];
+        let k = self.size;
+        let mut out = vec![0.0f32; n * c * oh * ow];
         let mut argmax = vec![0usize; n * c * oh * ow];
-        let xd = x.data();
-        for img in 0..n {
-            for ch in 0..c {
-                let plane = (img * c + ch) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let oi = ((img * c + ch) * oh + oy) * ow + ox;
-                        for ky in 0..self.size {
-                            let iy = oy * self.size + ky;
-                            for kx in 0..self.size {
-                                let ix = ox * self.size + kx;
-                                let src = plane + iy * w + ix;
-                                if xd[src] > out[oi] {
-                                    out[oi] = xd[src];
-                                    argmax[oi] = src;
-                                }
-                            }
+        let planes = x.data().chunks_exact(h * w).enumerate();
+        let outs = out
+            .chunks_exact_mut(oh * ow)
+            .zip(argmax.chunks_exact_mut(oh * ow));
+        for ((p, plane), (out, argmax)) in planes.zip(outs) {
+            for (oi, (o, arg)) in out.iter_mut().zip(argmax.iter_mut()).enumerate() {
+                let (oy, ox) = (oi / ow, oi % ow);
+                // Seed with the window's first element, so that a window
+                // of -inf or NaN still routes its gradient inside itself.
+                let first = oy * k * w + ox * k;
+                let (mut best, mut at) = (plane[first], first);
+                for ky in 0..k {
+                    let row = first + ky * w;
+                    for (i, &v) in plane[row..row + k].iter().enumerate() {
+                        if v > best {
+                            best = v;
+                            at = row + i;
                         }
                     }
                 }
+                *o = best;
+                *arg = p * h * w + at;
             }
         }
         if mode == Mode::Train {
@@ -137,6 +140,37 @@ mod tests {
         let x = Tensor::from_vec(data, vec![1, 2, 2, 2]);
         let y = pool.forward(x, Mode::Infer);
         assert_eq!(y.data(), &[5.0, 7.0]);
+    }
+
+    #[test]
+    fn non_finite_windows_route_gradient_inside_themselves() {
+        // Before the window seed, an all -inf or NaN window kept the
+        // argmax at 0 and sent its gradient to the tensor's first element.
+        let mut pool = MaxPool2d::new(2);
+        let (inf, nan) = (f32::NEG_INFINITY, f32::NAN);
+        let x = Tensor::from_vec(
+            vec![
+                1.0, 2.0, inf, inf, //
+                3.0, 4.0, inf, inf, //
+                nan, nan, 5.0, nan, //
+                nan, nan, nan, 6.0,
+            ],
+            vec![1, 1, 4, 4],
+        );
+        let y = pool.forward(x, Mode::Train);
+        assert_eq!(y.data()[..2], [4.0, inf]);
+        assert!(y.data()[2].is_nan());
+        assert_eq!(y.data()[3], 6.0);
+        let dx = pool.backward(Tensor::from_vec(
+            vec![1.0, 10.0, 100.0, 1000.0],
+            vec![1, 1, 2, 2],
+        ));
+        let mut want = [0.0f32; 16];
+        want[5] = 1.0; // the 4.0
+        want[2] = 10.0; // first -inf of the second window
+        want[8] = 100.0; // first NaN of the third window
+        want[15] = 1000.0; // the 6.0, past the NaNs between it and the seed
+        assert_eq!(dx.data(), want);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! crate implements the needed subset from scratch:
 //!
 //! * [`Tensor`] — a dense row-major f32 tensor with the linear algebra the
-//!   layers need (blocked mat-mul, im2col).
+//!   layers need: one packed, register-tiled mat-mul kernel whose sums
+//!   are bit-identical to a naive triple loop at any thread count.
 //! * [`Layer`] implementations — [`Dense`], [`Conv2d`], [`MaxPool2d`],
 //!   [`Relu`], [`BatchNorm`], [`Flatten`], and crucially
 //!   [`BinarySigmoid`]: Kwan's hard binary activation with a
@@ -34,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod gemm;
 mod layers;
 mod loss;
 mod optim;

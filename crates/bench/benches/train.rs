@@ -15,15 +15,18 @@
 //!   single-threaded and with the candidate scan sharded across cores;
 //!
 //! plus a `rinc_bank` group training a full boosted bank through the new
-//! resample draw-count fast path, and a `teacher_gemm` group timing the
-//! teacher CNN's tiled mat-mul kernel against the three seed loops it
-//! replaced, at the SVHN conv shapes of one 64-image batch.
+//! resample draw-count fast path, a `train_tree_p8_512f` group timing one
+//! `P = 8` MNIST-bank tree (draw counts, one thread) at n = 600 / 1 200 /
+//! 4 800 through the engine, whose deep levels take the node-bucketed
+//! histogram path, and through the scalar trainer, and a `teacher_gemm`
+//! group timing the teacher CNN's tiled mat-mul kernel against the three
+//! seed loops it replaced, at the SVHN conv shapes of one 64-image batch.
 //!
-//! Before any timing, the bench trains each weight shape through both
-//! engines and asserts the trees are identical, and runs each teacher
-//! product through both the kernel and its seed loop and asserts the
-//! outputs are bit-identical — a run that prints timings has also proven
-//! equivalence on these workloads.
+//! Before any timing, the bench trains each weight shape and each `P = 8`
+//! size through both engines and asserts the trees are identical, and runs
+//! each teacher product through both the kernel and its seed loop and
+//! asserts the outputs are bit-identical — a run that prints timings has
+//! also proven equivalence on these workloads.
 //!
 //! Run with `cargo bench -p poetbin_bench --bench train`; set
 //! `POETBIN_BENCH_QUICK=1` (the CI smoke mode) to shrink the example
@@ -256,6 +259,7 @@ fn bench_train(c: &mut Criterion) {
     });
     group.finish();
 
+    bench_tree_p8(c, if quick() { 5 } else { 30 }, secs);
     bench_teacher_gemm(c, secs);
 
     let medians = criterion::take_recorded_medians();
@@ -263,6 +267,51 @@ fn bench_train(c: &mut Criterion) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => panic!("failed to write BENCH_train.json: {e}"),
     }
+}
+
+/// P = 8 trees at the shape of one MNIST-bank tree: 512 features,
+/// bootstrap draw counts and one scan thread, at the bank's 600 training
+/// examples and at two and eight times that. Their deep levels take the
+/// node-bucketed histogram path. Each size first asserts that the engine's
+/// tree equals the scalar reference's.
+fn bench_tree_p8(c: &mut Criterion, samples: usize, secs: u64) {
+    let single = LevelTreeConfig::new(8).with_threads(1);
+    let mut group = c.benchmark_group("train_tree_p8_512f");
+    group
+        .sample_size(samples)
+        .measurement_time(Duration::from_secs(secs))
+        .warm_up_time(Duration::from_millis(100));
+    for n in [600, 1_200, 4_800] {
+        let (data, labels) = svhn_shaped(n);
+        let counts = draw_counts(n);
+        assert_eq!(
+            LevelWiseTree::train(&data, &labels, &counts, &single),
+            LevelWiseTree::train_scalar(&data, &labels, &counts, &single),
+            "P = 8 popcount engine diverged from the scalar trainer at n = {n}"
+        );
+        group.bench_function(&format!("popcount_integer_1thread_n{n}"), |b| {
+            b.iter(|| {
+                black_box(LevelWiseTree::train(
+                    black_box(&data),
+                    &labels,
+                    &counts,
+                    &single,
+                ))
+            })
+        });
+        group.bench_function(&format!("scalar_integer_n{n}"), |b| {
+            b.iter(|| {
+                black_box(LevelWiseTree::train_scalar(
+                    black_box(&data),
+                    &labels,
+                    &counts,
+                    &single,
+                ))
+            })
+        });
+    }
+    println!("equivalence: P = 8 trees identical to the scalar trainer at n = 600 / 1200 / 4800");
+    group.finish();
 }
 
 /// Deterministic values in (-1, 1), about one in five zero (ReLU- and

@@ -1,14 +1,19 @@
 //! The level-wise decision tree of PoET-BiN (Algorithm 1): RINC-0.
 //!
 //! Two trainers live here. [`LevelWiseTree::train`] is the production
-//! popcount engine: it maintains the per-level node partition as packed
-//! 64-bit masks and computes every `(node, branch, class)` histogram cell
-//! of the entropy scan as a masked popcount (uniform weights), a bit-plane
-//! sum of masked popcounts (integer weights, the boosting-by-resampling
-//! case), or a node-bucketed sequential accumulation (arbitrary `f64`
-//! weights). [`LevelWiseTree::train_scalar`] is the original one-bit-at-a-
-//! time reference implementation; the engine is pinned against it by
+//! engine. With uniform or whole-number weights (the boosting-by-resampling
+//! case) it computes every `(node, branch, class)` histogram cell of the
+//! entropy scan as a whole number: on the shallow levels as masked
+//! popcounts over the per-level node partition, held as packed 64-bit
+//! masks and summed over the weight bit-planes; past a cost-estimated
+//! crossover level as node-bucketed counts, one walk of each weighted
+//! example's row words per level, so that a deep level costs no more than
+//! a shallow one. Arbitrary `f64` weights take a node-bucketed sequential
+//! accumulation. [`LevelWiseTree::train_scalar`] is the original one-bit-
+//! at-a-time reference implementation; the engine is pinned against it by
 //! randomized equivalence tests and the `train` benchmark.
+
+use std::sync::OnceLock;
 
 use poetbin_bits::{split_counts, BitVec, FeatureMatrix, TruthTable, WORD_BITS};
 
@@ -90,11 +95,72 @@ pub struct LevelTrainReport {
 /// feature wins exact ties deterministically.
 const TIE_MARGIN: f64 = 1e-15;
 
-/// Largest whole-number example weight the bit-plane popcount path accepts;
-/// larger (or fractional) weights fall back to the exact `f64` path. At
-/// this bound a weighted count stays exactly representable in the `u64`
-/// plane accumulators for any realistic example count.
+/// Largest whole-number example weight the counting paths accept; larger
+/// (or fractional) weights fall back to the exact `f64` path. At this
+/// bound a weighted count stays exactly representable in the `u64` plane
+/// accumulators and histogram cells for any realistic example count.
 const MAX_INTEGER_WEIGHT: f64 = 4_294_967_296.0; // 2^32
+
+/// Cost of walking one row word of one weighted example into the
+/// node-bucketed histogram, in units of one masked-popcount word operation
+/// of the plane scan: a row word is about half set, and each set bit is one
+/// scattered add. Set from forced-crossover timings of 512-feature trees
+/// (the `train_tree_p6_512f` and `train_tree_p8_512f` bench shapes,
+/// n = 600 to 60 000): draw-count trees then switch at about the fastest
+/// level, and one-plane uniform trees keep their popcounts.
+const HISTOGRAM_WORD_COST: usize = 12;
+
+/// Byte budget of one scan shard's [`Histogram`] at the deepest level: the
+/// table covers as many row words as fit, at least one.
+const HISTOGRAM_BYTES: usize = 256 << 10;
+
+/// Whole-number class weights below this bound read their entropy term
+/// from a table instead of calling [`weighted_binary_entropy`] (two
+/// `log2`s) and dividing by the total.
+const SMALL_WEIGHT: u64 = 64;
+
+/// `weighted_binary_entropy(a, b)` for whole numbers `a, b` below
+/// [`SMALL_WEIGHT`], at index `a · SMALL_WEIGHT + b`. Filled by that
+/// function itself, so a table hit is bit-identical to the call.
+fn small_entropies() -> &'static [f64] {
+    static TABLE: OnceLock<Vec<f64>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        (0..SMALL_WEIGHT * SMALL_WEIGHT)
+            .map(|i| weighted_binary_entropy((i / SMALL_WEIGHT) as f64, (i % SMALL_WEIGHT) as f64))
+            .collect()
+    })
+}
+
+/// The child terms of the entropy objective when every histogram cell is a
+/// whole number: weights unscaled (`scale == 1`) and a total below 2^53,
+/// so that every cell and every partial sum is an exact `f64`.
+struct WholeTerms {
+    total: f64,
+    /// `(a + b) / total · H(a, b)` for `a, b` below [`SMALL_WEIGHT`], at
+    /// index `a · SMALL_WEIGHT + b`.
+    small: Vec<f64>,
+}
+
+impl WholeTerms {
+    fn new(total: u64) -> WholeTerms {
+        let total = total as f64;
+        let small = small_entropies()
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| (i as u64 / SMALL_WEIGHT + i as u64 % SMALL_WEIGHT) as f64 / total * h)
+            .collect();
+        WholeTerms { total, small }
+    }
+
+    /// One child's term, computed exactly as [`entropy_of_counts`] does.
+    fn term(&self, w0: u64, w1: u64) -> f64 {
+        if w0 < SMALL_WEIGHT && w1 < SMALL_WEIGHT {
+            self.small[(w0 * SMALL_WEIGHT + w1) as usize]
+        } else {
+            (w0 + w1) as f64 / self.total * weighted_binary_entropy(w0 as f64, w1 as f64)
+        }
+    }
+}
 
 /// How [`LevelWiseTree::train`] will exploit the weight vector.
 enum WeightScheme {
@@ -125,6 +191,13 @@ fn classify_weights(weights: &[f64]) -> WeightScheme {
     WeightScheme::General
 }
 
+/// The whole-number view of a uniform or integer weight vector that the
+/// counting paths train on: example `e` weighs `counts[e] · scale`.
+struct CountWeights {
+    counts: Vec<u64>,
+    scale: f64,
+}
+
 /// The entropy objective of one candidate split, computed from the filled
 /// `(child, class)` histogram exactly as the reference trainer does (same
 /// summation order, so the two paths agree bit-for-bit on exact counts).
@@ -136,6 +209,55 @@ fn entropy_of_counts(counts: &[f64], new_nodes: usize) -> f64 {
             let w0 = counts[node * 2];
             let w1 = counts[node * 2 + 1];
             level_entropy += (w0 + w1) / total * weighted_binary_entropy(w0, w1);
+        }
+    }
+    level_entropy
+}
+
+/// The entropy objective of one candidate split from whole-number cells:
+/// `nodes[m]` is node `m`'s `(weight, class-1 weight)` count, and
+/// `branch(m)` the same pair over the node's examples with the candidate
+/// feature set (asked only of nodes that hold weight). Every count is
+/// scaled by `scale`; `whole` is set when the cells are exact whole
+/// numbers.
+///
+/// The result is bit-identical to [`entropy_of_counts`] on the filled
+/// histogram. With `whole` each child's term is summed here directly, in
+/// ascending child order; weight-empty children are skipped (they add
+/// `+0.0` there) and small cells read their term from a table.
+fn split_entropy(
+    nodes: &[(u64, u64)],
+    whole: Option<&WholeTerms>,
+    scale: f64,
+    mut branch: impl FnMut(usize) -> (u64, u64),
+) -> f64 {
+    let Some(whole) = whole else {
+        let mut counts = vec![0.0f64; nodes.len() * 4];
+        for (m, &(tot, pos)) in nodes.iter().enumerate() {
+            if tot == 0 {
+                continue;
+            }
+            let (set, set_pos) = branch(m);
+            counts[4 * m] = (tot - set - (pos - set_pos)) as f64 * scale;
+            counts[4 * m + 1] = (pos - set_pos) as f64 * scale;
+            counts[4 * m + 2] = (set - set_pos) as f64 * scale;
+            counts[4 * m + 3] = set_pos as f64 * scale;
+        }
+        return entropy_of_counts(&counts, nodes.len() * 2);
+    };
+    let mut level_entropy = 0.0;
+    for (m, &(tot, pos)) in nodes.iter().enumerate() {
+        if tot == 0 {
+            continue;
+        }
+        let (set, set_pos) = branch(m);
+        for (w0, w1) in [
+            (tot - set - (pos - set_pos), pos - set_pos),
+            (set - set_pos, set_pos),
+        ] {
+            if w0 + w1 != 0 {
+                level_entropy += whole.term(w0, w1);
+            }
         }
     }
     level_entropy
@@ -178,39 +300,67 @@ fn scan_shards(pool_len: usize, n: usize, configured: usize) -> usize {
     hw.min(pool_len.div_ceil(8)).max(1)
 }
 
-/// Runs `eval` over every pool candidate, writing one entropy per slot
-/// (`f64::INFINITY` for already-used features), sharded across `shards`
-/// threads. The output is independent of the shard count: shards own
-/// disjoint contiguous chunks and the caller folds sequentially.
-fn scan_features<F>(pool: &[usize], used: &[bool], entropies: &mut [f64], shards: usize, eval: F)
-where
-    F: Fn(usize) -> f64 + Sync,
+/// Scores every pool candidate, writing one entropy per slot
+/// (`f64::INFINITY` for already-used features). The pool is cut into one
+/// contiguous chunk per `scratch` slot, each scanned on its own thread by
+/// `eval` with that slot as its scratch space. The output is independent
+/// of the shard count: shards own disjoint chunks and the caller folds
+/// sequentially.
+fn scan_features<S, E>(
+    pool: &[usize],
+    used: &[bool],
+    entropies: &mut [f64],
+    scratch: &mut [S],
+    eval: E,
+) where
+    S: Send,
+    E: Fn(usize, &mut S) -> f64 + Sync,
 {
-    if shards <= 1 {
-        for (slot, &feat) in entropies.iter_mut().zip(pool) {
-            *slot = if used[feat] {
+    let scan = |pc: &[usize], ec: &mut [f64], slot: &mut S| {
+        for (entropy, &feat) in ec.iter_mut().zip(pc) {
+            *entropy = if used[feat] {
                 f64::INFINITY
             } else {
-                eval(feat)
+                eval(feat, slot)
             };
         }
+    };
+    if let [slot] = scratch {
+        scan(pool, entropies, slot);
         return;
     }
-    let chunk = pool.len().div_ceil(shards);
+    let chunk = pool.len().div_ceil(scratch.len());
     std::thread::scope(|scope| {
-        for (pc, ec) in pool.chunks(chunk).zip(entropies.chunks_mut(chunk)) {
-            let eval = &eval;
-            scope.spawn(move || {
-                for (slot, &feat) in ec.iter_mut().zip(pc) {
-                    *slot = if used[feat] {
-                        f64::INFINITY
-                    } else {
-                        eval(feat)
-                    };
-                }
-            });
+        for ((pc, ec), slot) in pool
+            .chunks(chunk)
+            .zip(entropies.chunks_mut(chunk))
+            .zip(scratch.iter_mut())
+        {
+            let scan = &scan;
+            scope.spawn(move || scan(pc, ec, slot));
         }
     });
+}
+
+/// Whether the node-bucketed histogram scans a level more cheaply than the
+/// masked popcounts would, in masked-popcount word operations.
+///
+/// * `live` — candidate features still to score;
+/// * `plane_words` — weight planes × the summed word windows of the
+///   level's nodes: the popcount cost of one candidate;
+/// * `weighted` — examples with non-zero weight, each walked once;
+/// * `row_words` — words per example row;
+/// * `buckets` — `(node, class)` rows of the count table.
+fn histogram_is_cheaper(
+    live: usize,
+    plane_words: usize,
+    weighted: usize,
+    row_words: usize,
+    buckets: usize,
+) -> bool {
+    let walk = weighted * row_words * HISTOGRAM_WORD_COST;
+    let table = buckets * (row_words * WORD_BITS + live);
+    walk + table < live * plane_words
 }
 
 /// One node of the current level's partition, as a packed example mask.
@@ -237,10 +387,81 @@ struct PlaneNode {
     planes: Vec<Vec<u64>>,
     /// First word of the restriction window.
     lo: usize,
-    /// Weighted example count of the node.
-    tot: u64,
-    /// Weighted class-1 count of the node.
-    pos: u64,
+}
+
+/// One scan shard's node-bucketed count table for the deep levels.
+///
+/// Row `2 · node + class` holds, per feature column, the whole-number
+/// weight of that node's class-`class` examples with the feature set. Rows
+/// are node-major so that one example's adds land in one contiguous row.
+/// The columns cover one aligned block of row words at a time, sized so
+/// that the deepest level's table fits [`HISTOGRAM_BYTES`]; a shard scoring
+/// its chunk in ascending feature order fills each block once per level.
+/// The buffer is reserved once and reused by every level of the tree.
+struct Histogram {
+    cells: Vec<u64>,
+    /// Row words per column block.
+    block_words: usize,
+    /// First row word of the filled block, `None` until filled this level.
+    block: Option<usize>,
+    /// Rows of the deepest level the tree scans.
+    max_buckets: usize,
+}
+
+impl Histogram {
+    fn new(levels: usize) -> Histogram {
+        let max_buckets = 1 << levels;
+        let row_bytes = WORD_BITS * std::mem::size_of::<u64>();
+        Histogram {
+            cells: Vec::new(),
+            block_words: (HISTOGRAM_BYTES / (max_buckets * row_bytes)).max(1),
+            block: None,
+            max_buckets,
+        }
+    }
+
+    /// Makes the table hold `feat`'s column for this level, refilling it
+    /// from `walk` (each weighted example as `(example, bucket, weight)`)
+    /// when the feature lies outside the filled block.
+    fn cover(
+        &mut self,
+        feat: usize,
+        data: &FeatureMatrix,
+        walk: &[(usize, usize, u64)],
+        buckets: usize,
+    ) {
+        let block = feat / WORD_BITS / self.block_words * self.block_words;
+        if self.block == Some(block) {
+            return;
+        }
+        let width = self.block_words * WORD_BITS;
+        let last = (block + self.block_words).min(data.num_features().div_ceil(WORD_BITS));
+        self.cells.clear();
+        self.cells.reserve_exact(self.max_buckets * width);
+        self.cells.resize(buckets * width, 0);
+        for &(e, bucket, w) in walk {
+            let row = &mut self.cells[bucket * width..][..width];
+            let words = &data.row(e).as_words()[block..last];
+            for (cells, &word) in row.chunks_exact_mut(WORD_BITS).zip(words) {
+                let mut bits = word;
+                while bits != 0 {
+                    cells[bits.trailing_zeros() as usize] += w;
+                    bits &= bits - 1;
+                }
+            }
+        }
+        self.block = Some(block);
+    }
+
+    /// `(weight, class-1 weight)` of `node`'s examples with `feat` set;
+    /// `feat` must be covered.
+    fn branch(&self, feat: usize, node: usize) -> (u64, u64) {
+        let width = self.block_words * WORD_BITS;
+        let col = feat - self.block.expect("histogram block filled") * WORD_BITS;
+        let zero = self.cells[2 * node * width + col];
+        let one = self.cells[(2 * node + 1) * width + col];
+        (zero + one, one)
+    }
 }
 
 /// The paper's modified decision tree: `P` levels, one feature per level,
@@ -266,10 +487,16 @@ impl LevelWiseTree {
     /// the new level; then labels every leaf with its weighted majority
     /// class (`S0 <= S1 → 1`).
     ///
-    /// This is the word-parallel engine: with uniform or whole-number
-    /// weights every histogram cell of the scan is a masked popcount over
-    /// packed 64-example words, and arbitrary `f64` weights take a
-    /// node-bucketed exact path. The result is identical to
+    /// This is the word-parallel engine. With uniform or whole-number
+    /// weights every histogram cell of the scan is a whole-number count:
+    /// on the shallow levels a masked popcount over packed 64-example
+    /// words; from a crossover level on, chosen per tree by a cost
+    /// estimate, a node-bucketed count table filled by one walk of the
+    /// weighted examples' row words, so a deep level costs about `n · F`
+    /// adds like a shallow one. Unscaled whole-number cells also skip
+    /// empty children and read small entropy terms from a table.
+    /// Arbitrary `f64` weights take a node-bucketed exact path. The
+    /// crossover never changes the tree. The result is identical to
     /// [`LevelWiseTree::train_scalar`]: bit-for-bit on unit-uniform and
     /// whole-number weights and on the exact-`f64` path. On *scaled*
     /// uniform weights (e.g. AdaBoost's `1/n`) the two trainers compute
@@ -295,6 +522,12 @@ impl LevelWiseTree {
 
     /// Like [`LevelWiseTree::train`] but also returns training diagnostics.
     ///
+    /// Dispatches on the weight shape: uniform and whole-number weights go
+    /// to the counting engine (masked popcounts, then node-bucketed
+    /// histograms past the crossover level), anything else to the exact
+    /// bucketed `f64` path. The report's `level_entropies` are the same
+    /// whichever level the crossover falls at.
+    ///
     /// # Panics
     ///
     /// Same conditions as [`LevelWiseTree::train`].
@@ -307,12 +540,18 @@ impl LevelWiseTree {
         let pool = Self::validate(data, labels, weights, config);
         match classify_weights(weights) {
             WeightScheme::Uniform(w) => {
-                let ones = [BitVec::ones(labels.len())];
-                Self::train_popcount(data, labels, weights, &ones, w, pool, config)
+                let counts = CountWeights {
+                    counts: vec![1; weights.len()],
+                    scale: w,
+                };
+                Self::train_popcount(data, labels, weights, &counts, pool, config, None)
             }
             WeightScheme::Integer => {
-                let planes = weight_planes(weights);
-                Self::train_popcount(data, labels, weights, &planes, 1.0, pool, config)
+                let counts = CountWeights {
+                    counts: weights.iter().map(|&w| w as u64).collect(),
+                    scale: 1.0,
+                };
+                Self::train_popcount(data, labels, weights, &counts, pool, config, None)
             }
             WeightScheme::General => Self::train_bucketed(data, labels, weights, pool, config),
         }
@@ -502,94 +741,142 @@ impl LevelWiseTree {
         )
     }
 
-    /// The popcount engine: per-level node partitions as packed masks,
-    /// every histogram cell a masked popcount summed over the weight
-    /// bit-planes (`planes`; a single all-ones plane scaled by `scale`
-    /// covers uniform weights, draw-count planes with `scale = 1` cover
-    /// boosting by resampling).
+    /// The whole-number engine for uniform and integer weights
+    /// (`counts.counts[e] · counts.scale`). Every histogram cell of the
+    /// scan is a whole-number count, found one of two ways per level:
+    ///
+    /// * **Masked popcounts** on the shallow levels: the node partition is
+    ///   held as packed masks, folded with each weight bit-plane once per
+    ///   level, and each `(node, candidate)` cell is a popcount sum over
+    ///   the node's word window. A level of `m` nodes costs about
+    ///   `m · planes · n/64` word operations per candidate.
+    /// * **Node-bucketed histograms** from the crossover level on: each
+    ///   weighted example's row words are walked once per level, adding
+    ///   its weight into a per-shard `(node, class) × feature` table
+    ///   ([`Histogram`]); each candidate then reads its cells. A level
+    ///   costs about `n · F` adds at any depth.
+    ///
+    /// The crossover is the first level at which [`histogram_is_cheaper`]
+    /// says so, from the node windows, plane count, weighted example count
+    /// and row width; `deep_from` forces it instead (tests only). Both
+    /// ways give the same counts, so the crossover never changes the tree.
     fn train_popcount(
         data: &FeatureMatrix,
         labels: &BitVec,
         weights: &[f64],
-        planes: &[BitVec],
-        scale: f64,
+        counts: &CountWeights,
         pool: Vec<usize>,
         config: &LevelTreeConfig,
+        deep_from: Option<usize>,
     ) -> (LevelWiseTree, LevelTrainReport) {
         let n = data.num_examples();
         let p = config.inputs;
+        let scale = counts.scale;
+        let counts = &counts.counts;
         let label_words = labels.as_words();
+        let planes = weight_planes(counts);
+        let total: u64 = counts.iter().sum();
+        let whole =
+            (scale == 1.0 && total < 1 << f64::MANTISSA_DIGITS).then(|| WholeTerms::new(total));
         let mut used = vec![false; data.num_features()];
         let mut features = Vec::with_capacity(p);
         let mut level_entropies = Vec::with_capacity(p);
         let mut entropies = vec![f64::INFINITY; pool.len()];
         let shards = scan_shards(pool.len(), n, config.threads);
+        let mut hists: Vec<Histogram> = (0..shards).map(|_| Histogram::new(p)).collect();
+        let weighted: Vec<usize> = (0..n).filter(|&e| counts[e] > 0).collect();
+        let row_words = data.num_features().div_ceil(WORD_BITS);
 
-        // The partition starts as one node holding every example; node ids
-        // are big-endian (level 0 = most significant address bit), matching
-        // the reference trainer's `node_of` convention.
+        // Node ids are big-endian (level 0 = most significant address
+        // bit), matching the reference trainer's `node_of` convention. The
+        // partition starts as one node holding every example; its masks
+        // are kept only while the popcount way is in use.
+        let mut node_of = vec![0usize; n];
         let mut masks: Vec<MaskNode> =
             vec![MaskNode::from_words(BitVec::ones(n).as_words().to_vec())];
+        let mut deep = false;
 
         for level in 0..p {
-            let new_nodes = 1usize << (level + 1);
+            let m = 1usize << level;
+            deep = deep
+                || match deep_from {
+                    Some(from) => level >= from,
+                    None => histogram_is_cheaper(
+                        pool.iter().filter(|&&f| !used[f]).count(),
+                        planes.len() * masks.iter().map(|mk| mk.hi - mk.lo).sum::<usize>(),
+                        weighted.len(),
+                        row_words,
+                        2 * m,
+                    ),
+                };
 
-            // Fold the weight planes into each node once per level; the
-            // whole feature scan then reuses the masked planes.
-            let nodes: Vec<PlaneNode> = masks
-                .iter()
-                .map(|m| {
-                    let window = &m.words[m.lo..m.hi];
-                    let mut masked: Vec<Vec<u64>> = Vec::with_capacity(planes.len());
-                    let mut tot = 0u64;
-                    let mut pos = 0u64;
-                    for (b, plane) in planes.iter().enumerate() {
-                        let mp: Vec<u64> = window
-                            .iter()
-                            .zip(&plane.as_words()[m.lo..m.hi])
-                            .map(|(&mw, &pw)| mw & pw)
-                            .collect();
-                        let (t, q) = split_counts(&mp, &mp, &label_words[m.lo..m.hi]);
-                        tot += (t as u64) << b;
-                        pos += (q as u64) << b;
-                        masked.push(mp);
-                    }
-                    PlaneNode {
-                        planes: masked,
-                        lo: m.lo,
-                        tot,
-                        pos,
-                    }
-                })
-                .collect();
-
-            let eval = |feat: usize| {
-                let col_words = data.feature(feat).as_words();
-                let mut counts = vec![0.0f64; new_nodes * 2];
-                for (m, node) in nodes.iter().enumerate() {
-                    if node.tot == 0 {
-                        continue;
-                    }
-                    let mut branch = 0u64; // weighted count taking the set branch
-                    let mut branch_pos = 0u64; // … of which class 1
-                    for (b, mp) in node.planes.iter().enumerate() {
-                        let win = &col_words[node.lo..node.lo + mp.len()];
-                        let lab = &label_words[node.lo..node.lo + mp.len()];
-                        let (c1, c11) = split_counts(win, mp, lab);
-                        branch += (c1 as u64) << b;
-                        branch_pos += (c11 as u64) << b;
-                    }
-                    let child0 = 2 * m;
-                    let child1 = 2 * m + 1;
-                    counts[child1 * 2 + 1] = branch_pos as f64 * scale;
-                    counts[child1 * 2] = (branch - branch_pos) as f64 * scale;
-                    counts[child0 * 2 + 1] = (node.pos - branch_pos) as f64 * scale;
-                    counts[child0 * 2] =
-                        (node.tot - branch - (node.pos - branch_pos)) as f64 * scale;
+            if deep {
+                masks.clear();
+                let walk: Vec<(usize, usize, u64)> = weighted
+                    .iter()
+                    .map(|&e| (e, 2 * node_of[e] + usize::from(labels.get(e)), counts[e]))
+                    .collect();
+                let mut totals = vec![(0u64, 0u64); m];
+                for &(_, bucket, w) in &walk {
+                    let node = &mut totals[bucket / 2];
+                    node.0 += w;
+                    node.1 += w * (bucket % 2) as u64;
                 }
-                entropy_of_counts(&counts, new_nodes)
-            };
-            scan_features(&pool, &used, &mut entropies, shards, eval);
+                for hist in &mut hists {
+                    hist.block = None;
+                }
+                scan_features(&pool, &used, &mut entropies, &mut hists, |feat, hist| {
+                    hist.cover(feat, data, &walk, 2 * m);
+                    split_entropy(&totals, whole.as_ref(), scale, |node| {
+                        hist.branch(feat, node)
+                    })
+                });
+            } else {
+                // Fold the weight planes into each node once per level; the
+                // whole feature scan then reuses the masked planes.
+                let mut totals = Vec::with_capacity(m);
+                let nodes: Vec<PlaneNode> = masks
+                    .iter()
+                    .map(|mk| {
+                        let window = &mk.words[mk.lo..mk.hi];
+                        let mut masked: Vec<Vec<u64>> = Vec::with_capacity(planes.len());
+                        let mut tot = 0u64;
+                        let mut pos = 0u64;
+                        for (b, plane) in planes.iter().enumerate() {
+                            let mp: Vec<u64> = window
+                                .iter()
+                                .zip(&plane.as_words()[mk.lo..mk.hi])
+                                .map(|(&mw, &pw)| mw & pw)
+                                .collect();
+                            let (t, q) = split_counts(&mp, &mp, &label_words[mk.lo..mk.hi]);
+                            tot += (t as u64) << b;
+                            pos += (q as u64) << b;
+                            masked.push(mp);
+                        }
+                        totals.push((tot, pos));
+                        PlaneNode {
+                            planes: masked,
+                            lo: mk.lo,
+                        }
+                    })
+                    .collect();
+                scan_features(&pool, &used, &mut entropies, &mut hists, |feat, _| {
+                    let col_words = data.feature(feat).as_words();
+                    split_entropy(&totals, whole.as_ref(), scale, |m| {
+                        let node = &nodes[m];
+                        let mut branch = 0u64; // weighted count taking the set branch
+                        let mut branch_pos = 0u64; // … of which class 1
+                        for (b, mp) in node.planes.iter().enumerate() {
+                            let win = &col_words[node.lo..node.lo + mp.len()];
+                            let lab = &label_words[node.lo..node.lo + mp.len()];
+                            let (c1, c11) = split_counts(win, mp, lab);
+                            branch += (c1 as u64) << b;
+                            branch_pos += (c11 as u64) << b;
+                        }
+                        (branch, branch_pos)
+                    })
+                });
+            }
 
             let (feat, entropy) =
                 select_best(&pool, &used, &entropies).expect("candidate pool exhausted");
@@ -599,43 +886,41 @@ impl LevelWiseTree {
 
             // Split every node on the chosen feature: child (2m | bit).
             let col_words = data.feature(feat).as_words();
-            let mut next = Vec::with_capacity(new_nodes);
-            for m in &masks {
-                let mut zero = vec![0u64; m.words.len()];
-                let mut one = vec![0u64; m.words.len()];
-                for w in m.lo..m.hi {
-                    let mw = m.words[w];
-                    let cw = col_words[w];
-                    one[w] = mw & cw;
-                    zero[w] = mw & !cw;
-                }
-                next.push(MaskNode::from_words(zero));
-                next.push(MaskNode::from_words(one));
+            for (e, node) in node_of.iter_mut().enumerate() {
+                let bit = (col_words[e / WORD_BITS] >> (e % WORD_BITS)) & 1;
+                *node = (*node << 1) | bit as usize;
             }
-            masks = next;
+            if !deep {
+                let mut next = Vec::with_capacity(2 * m);
+                for mk in &masks {
+                    let mut zero = vec![0u64; mk.words.len()];
+                    let mut one = vec![0u64; mk.words.len()];
+                    for w in mk.lo..mk.hi {
+                        let mw = mk.words[w];
+                        let cw = col_words[w];
+                        one[w] = mw & cw;
+                        zero[w] = mw & !cw;
+                    }
+                    next.push(MaskNode::from_words(zero));
+                    next.push(MaskNode::from_words(one));
+                }
+                masks = next;
+            }
         }
 
         // Leaf statistics from the final partition, converted to the truth
         // table's little-endian address convention.
         let leaves = 1usize << p;
-        let mut leaf_w = vec![0.0f64; leaves * 2];
-        for (be, m) in masks.iter().enumerate() {
-            let window = &m.words[m.lo..m.hi];
-            let mut tot = 0u64;
-            let mut pos = 0u64;
-            for (b, plane) in planes.iter().enumerate() {
-                let (t, q) = split_counts(
-                    window,
-                    &plane.as_words()[m.lo..m.hi],
-                    &label_words[m.lo..m.hi],
-                );
-                tot += (t as u64) << b;
-                pos += (q as u64) << b;
-            }
-            let le = reverse_bits(be, p);
-            leaf_w[le * 2] = (tot - pos) as f64 * scale;
-            leaf_w[le * 2 + 1] = pos as f64 * scale;
+        let mut leaf_counts = vec![(0u64, 0u64); leaves];
+        for &e in &weighted {
+            let leaf = &mut leaf_counts[reverse_bits(node_of[e], p)];
+            leaf.0 += counts[e];
+            leaf.1 += counts[e] * u64::from(labels.get(e));
         }
+        let leaf_w: Vec<f64> = leaf_counts
+            .iter()
+            .flat_map(|&(tot, pos)| [(tot - pos) as f64 * scale, pos as f64 * scale])
+            .collect();
 
         Self::finish(
             data,
@@ -667,7 +952,7 @@ impl LevelWiseTree {
         let mut features = Vec::with_capacity(p);
         let mut level_entropies = Vec::with_capacity(p);
         let mut entropies = vec![f64::INFINITY; pool.len()];
-        let shards = scan_shards(pool.len(), n, config.threads);
+        let mut shards = vec![(); scan_shards(pool.len(), n, config.threads)];
         let label_u8: Vec<u8> = (0..n).map(|e| u8::from(labels.get(e))).collect();
 
         for level in 0..p {
@@ -697,7 +982,7 @@ impl LevelWiseTree {
             let w_sorted: Vec<f64> = order.iter().map(|&e| weights[e as usize]).collect();
             let lab_sorted: Vec<u8> = order.iter().map(|&e| label_u8[e as usize]).collect();
 
-            let eval = |feat: usize| {
+            let eval = |feat: usize, _: &mut ()| {
                 let col_words = data.feature(feat).as_words();
                 let mut counts = vec![0.0f64; new_nodes * 2];
                 for node in 0..m {
@@ -714,7 +999,7 @@ impl LevelWiseTree {
                 }
                 entropy_of_counts(&counts, new_nodes)
             };
-            scan_features(&pool, &used, &mut entropies, shards, eval);
+            scan_features(&pool, &used, &mut entropies, &mut shards, eval);
 
             let (feat, entropy) =
                 select_best(&pool, &used, &entropies).expect("candidate pool exhausted");
@@ -803,12 +1088,12 @@ impl LevelWiseTree {
 }
 
 /// Decomposes whole-number weights into bit-plane [`BitVec`]s: bit `e` of
-/// plane `b` is bit `b` of `weights[e] as u64`.
-fn weight_planes(weights: &[f64]) -> Vec<BitVec> {
-    let max_w = weights.iter().fold(0.0f64, |a, &b| a.max(b)) as u64;
+/// plane `b` is bit `b` of `counts[e]`.
+fn weight_planes(counts: &[u64]) -> Vec<BitVec> {
+    let max_w = counts.iter().copied().max().unwrap_or(0);
     let bits = (u64::BITS - max_w.leading_zeros()).max(1) as usize;
     (0..bits)
-        .map(|b| BitVec::from_fn(weights.len(), |e| (weights[e] as u64 >> b) & 1 == 1))
+        .map(|b| BitVec::from_fn(counts.len(), |e| (counts[e] >> b) & 1 == 1))
         .collect()
 }
 
@@ -1090,10 +1375,10 @@ mod tests {
 
     #[test]
     fn weight_planes_roundtrip() {
-        let w = [0.0, 1.0, 5.0, 13.0, 64.0];
+        let w = [0u64, 1, 5, 13, 64];
         let planes = weight_planes(&w);
         let back = plane_weights(&planes, 1.0, w.len());
-        assert_eq!(back, w);
+        assert_eq!(back, [0.0, 1.0, 5.0, 13.0, 64.0]);
         // Scaled reconstruction.
         let scaled = plane_weights(&planes, 0.5, w.len());
         assert_eq!(scaled, [0.0, 0.5, 2.5, 6.5, 32.0]);
@@ -1156,5 +1441,85 @@ mod tests {
         let (slow, sr) = LevelWiseTree::train_scalar_with_report(&data, &labels, &w, &cfg);
         assert_eq!(fast, slow);
         assert_eq!(fr.empty_leaves, sr.empty_leaves);
+    }
+
+    #[test]
+    fn every_crossover_level_matches_scalar() {
+        // The popcount and histogram ways must give the same counts, so
+        // forcing the switch at any level 0..=P (P = never) leaves the tree
+        // and every level entropy bit-identical to the reference trainer —
+        // on draw counts with zeros, on unit weights (scale 1 through the
+        // uniform scheme) and on scaled uniform weights, at the sharded
+        // bank size and two word-tail shapes. At P = 8 the deepest table
+        // covers two row words, so the 5-word rows take three column
+        // blocks, and three shards cut them off block boundaries.
+        let f = 300;
+        let p = 8;
+        // Skip every third feature so chunk spans are not dense.
+        let pool: Vec<usize> = (0..f).filter(|j| j % 3 != 2).collect();
+        for n in [600, 65, 37] {
+            let data = FeatureMatrix::from_fn(n, f, |e, j| {
+                (e.wrapping_mul(2654435761)
+                    .wrapping_add(j.wrapping_mul(40503))
+                    >> 7)
+                    & 1
+                    == 1
+            });
+            let labels = BitVec::from_fn(n, |e| data.bit(e, 3) ^ data.bit(e, 77) ^ (e % 11 == 0));
+            let draws: Vec<f64> = (0..n).map(|e| ((e * 7919) % 13 % 5) as f64).collect();
+            for (weights, scale) in [(draws, 1.0), (vec![1.0; n], 1.0), (vec![0.25; n], 0.25)] {
+                let counts = CountWeights {
+                    counts: weights.iter().map(|&w| (w / scale) as u64).collect(),
+                    scale,
+                };
+                for threads in [1, 3] {
+                    let cfg = LevelTreeConfig::new(p)
+                        .with_threads(threads)
+                        .with_candidates(pool.clone());
+                    let train = |from| {
+                        LevelWiseTree::train_popcount(
+                            &data,
+                            &labels,
+                            &weights,
+                            &counts,
+                            pool.clone(),
+                            &cfg,
+                            Some(from),
+                        )
+                    };
+                    // Scaled cells round differently from the reference's
+                    // folded sums, so there the two ways are held to each
+                    // other instead.
+                    let (slow, sr) = if scale == 1.0 {
+                        LevelWiseTree::train_scalar_with_report(&data, &labels, &weights, &cfg)
+                    } else {
+                        train(p)
+                    };
+                    for from in 0..=p {
+                        let (fast, fr) = train(from);
+                        let what =
+                            format!("n={n}, scale {scale}, crossover {from}, {threads} threads");
+                        assert_eq!(fast, slow, "{what}");
+                        assert_eq!(fr, sr, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn entropy_table_matches_the_function() {
+        // Table hits must be bit-identical to the term entropy_of_counts
+        // forms, on both sides of the table bound.
+        for total in [1u64, 7, 600, 1 << 40] {
+            let whole = WholeTerms::new(total);
+            for a in 0..SMALL_WEIGHT + 2 {
+                for b in 0..SMALL_WEIGHT + 2 {
+                    let (w0, w1) = (a as f64, b as f64);
+                    let direct = (w0 + w1) / total as f64 * weighted_binary_entropy(w0, w1);
+                    assert_eq!(whole.term(a, b).to_bits(), direct.to_bits(), "H({a}, {b})");
+                }
+            }
+        }
     }
 }

@@ -212,3 +212,162 @@ fn thread_sharding_matches_single_thread() {
         }
     }
 }
+
+/// Example counts of the deep-level cases: the bank's 600-example
+/// training set and twice that (both above the 512-example sharding
+/// threshold), plus the word-tail shapes.
+const DEEP_SHAPES: [usize; 8] = [600, 1200, 64, 65, 63, 128, 127, 37];
+
+/// A matrix whose columns split the examples into scattered sets, so that
+/// every node of a deep level spans the whole example window and the
+/// trainer switches to node-bucketed histograms. (`random_matrix` columns
+/// split the examples into near-contiguous runs, which keeps the masked
+/// popcounts cheap at every level.) Every fourth column is a noisy copy of
+/// a hidden bit, as there.
+fn scattered_matrix(rng: &mut StdRng, n: usize, f: usize) -> FeatureMatrix {
+    let hidden: Vec<bool> = (0..n).map(|_| rng.random::<bool>()).collect();
+    let cells: Vec<bool> = (0..n * f)
+        .map(|i| {
+            let noise = rng.random::<bool>();
+            if (i % f).is_multiple_of(4) {
+                hidden[i / f] ^ (noise && rng.random::<f64>() < 0.25)
+            } else {
+                noise
+            }
+        })
+        .collect();
+    FeatureMatrix::from_fn(n, f, |e, j| cells[e * f + j])
+}
+
+/// Bootstrap draw counts: `n` uniform draws with replacement, so about a
+/// third of the examples are never drawn and weigh zero.
+fn draw_counts(rng: &mut StdRng, n: usize) -> Vec<f64> {
+    let mut weights = vec![0.0f64; n];
+    for _ in 0..n {
+        weights[rng.random_range(0..n)] += 1.0;
+    }
+    weights
+}
+
+/// Whole-number weights must give the reference trainer's tree, report and
+/// every level entropy exactly, not just within a tolerance.
+fn assert_identical(
+    data: &FeatureMatrix,
+    labels: &BitVec,
+    weights: &[f64],
+    config: &LevelTreeConfig,
+    what: &str,
+) {
+    let (fast, fast_report) = LevelWiseTree::train_with_report(data, labels, weights, config);
+    let (slow, slow_report) =
+        LevelWiseTree::train_scalar_with_report(data, labels, weights, config);
+    assert_eq!(fast, slow, "{what}: trees diverge");
+    assert_eq!(fast_report, slow_report, "{what}: reports diverge");
+}
+
+#[test]
+fn p8_trees_on_draw_counts_match_scalar_trainer() {
+    // P = 8 takes the deep levels past any histogram crossover; 200
+    // features span four row words, more than one histogram column block.
+    let mut rng = StdRng::seed_from_u64(0xDEE8);
+    for &n in &DEEP_SHAPES {
+        let data = scattered_matrix(&mut rng, n, 200);
+        let labels = random_labels(&mut rng, &data);
+        let weights = draw_counts(&mut rng, n);
+        assert!(weights.contains(&0.0), "bootstrap left no example undrawn");
+        for threads in [1, 2, 3] {
+            let cfg = LevelTreeConfig::new(8).with_threads(threads);
+            assert_identical(
+                &data,
+                &labels,
+                &weights,
+                &cfg,
+                &format!("draw counts n={n}, {threads} threads"),
+            );
+        }
+    }
+}
+
+#[test]
+fn p8_trees_on_restricted_pools_match_scalar_trainer() {
+    let mut rng = StdRng::seed_from_u64(0x9001);
+    for &n in &[600, 1200, 127] {
+        let data = scattered_matrix(&mut rng, n, 200);
+        let labels = random_labels(&mut rng, &data);
+        let weights = draw_counts(&mut rng, n);
+        let sparse: Vec<usize> = (0..200).filter(|j| j % 3 != 1).collect();
+        let high: Vec<usize> = (150..200).collect();
+        // Out of order: the scan must still score every slot in pool order.
+        let shuffled: Vec<usize> = (0..200).rev().step_by(7).chain(0..12).collect();
+        for pool in [sparse, high, shuffled] {
+            for threads in [1, 2, 3] {
+                let cfg = LevelTreeConfig::new(8)
+                    .with_threads(threads)
+                    .with_candidates(pool.clone());
+                assert_identical(
+                    &data,
+                    &labels,
+                    &weights,
+                    &cfg,
+                    &format!(
+                        "pool of {} from {}, n={n}, {threads} threads",
+                        pool.len(),
+                        pool[0]
+                    ),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn p8_trees_on_uniform_weights_match_scalar_trainer() {
+    // Unit-uniform weights take the same whole-number path with one plane.
+    let mut rng = StdRng::seed_from_u64(0x0111);
+    for &n in &[600, 1200] {
+        let data = scattered_matrix(&mut rng, n, 200);
+        let labels = random_labels(&mut rng, &data);
+        for threads in [1, 2, 3] {
+            let cfg = LevelTreeConfig::new(8).with_threads(threads);
+            assert_identical(
+                &data,
+                &labels,
+                &vec![1.0; n],
+                &cfg,
+                &format!("unit weights n={n}, {threads} threads"),
+            );
+        }
+    }
+}
+
+#[test]
+fn weights_near_the_integer_bound_match_scalar_trainer() {
+    // The whole-number path takes weights up to 2^32. A single count cell
+    // then sums many such weights, so it would overflow 32 bits; every
+    // cell and total stays exact in a u64 and in the reference's f64 sums.
+    const BOUND: f64 = 4_294_967_296.0; // 2^32
+    let mut rng = StdRng::seed_from_u64(0xB16);
+    for &n in &[600, 127] {
+        let data = scattered_matrix(&mut rng, n, 200);
+        let labels = random_labels(&mut rng, &data);
+        let weights: Vec<f64> = (0..n)
+            .map(|e| match e % 5 {
+                0 => BOUND,
+                1 => BOUND - f64::from(rng.random_range(1..1000u32)),
+                2 => 0.0,
+                3 => f64::from(rng.random_range(1..4u32)),
+                _ => (BOUND / 2.0).floor() + 3.0,
+            })
+            .collect();
+        for threads in [1, 3] {
+            let cfg = LevelTreeConfig::new(8).with_threads(threads);
+            assert_identical(
+                &data,
+                &labels,
+                &weights,
+                &cfg,
+                &format!("near-2^32 weights n={n}, {threads} threads"),
+            );
+        }
+    }
+}

@@ -105,15 +105,16 @@ impl Default for BinarySigmoid {
 }
 
 impl Layer for BinarySigmoid {
-    fn forward(&mut self, x: Tensor, mode: Mode) -> Tensor {
-        let mut y = x.clone();
-        for v in y.data_mut() {
+    fn forward(&mut self, mut x: Tensor, mode: Mode) -> Tensor {
+        // Only the training backward reads the pre-activation input; in
+        // inference the input is thresholded in place without a copy.
+        if mode == Mode::Train {
+            self.cache_x = Some(x.clone());
+        }
+        for v in x.data_mut() {
             *v = if *v >= 0.0 { 1.0 } else { 0.0 };
         }
-        if mode == Mode::Train {
-            self.cache_x = Some(x);
-        }
-        y
+        x
     }
 
     fn backward(&mut self, mut grad: Tensor) -> Tensor {
@@ -161,6 +162,22 @@ mod tests {
         let x = Tensor::from_vec(vec![-0.5, 0.0, 0.7, -2.0], vec![1, 4]);
         let y = act.forward(x, Mode::Infer);
         assert_eq!(y.data(), &[0.0, 1.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn inference_caches_nothing_and_matches_training_output() {
+        let x = Tensor::from_vec(vec![-0.5, 0.0, 0.7, -2.0, 3.0, -0.0], vec![2, 3]);
+        let mut infer = BinarySigmoid::new();
+        let y_infer = infer.forward(x.clone(), Mode::Infer);
+        assert!(
+            infer.cache_x.is_none(),
+            "inference must not cache its input"
+        );
+        let mut train = BinarySigmoid::new();
+        let y_train = train.forward(x.clone(), Mode::Train);
+        assert_eq!(y_infer.data(), y_train.data());
+        assert_eq!(y_infer.shape(), x.shape());
+        assert_eq!(train.cache_x.as_ref().map(Tensor::data), Some(x.data()));
     }
 
     #[test]

@@ -53,15 +53,6 @@ impl DatasetKind {
         }
     }
 
-    /// Classifier clock in MHz (§4.2: 62.5 MHz for the P=8 designs,
-    /// 100 MHz for SVHN's P=6 design).
-    pub fn clock_mhz(self) -> f64 {
-        match self {
-            DatasetKind::SvhnLike => 100.0,
-            _ => 62.5,
-        }
-    }
-
     /// Generates the synthetic stand-in dataset at the given size.
     pub fn generate(self, n: usize, seed: u64) -> ImageDataset {
         match self {
@@ -166,13 +157,12 @@ impl Scale {
     }
 }
 
-/// Builds a classifier with the *paper's exact RINC structure* (P, tree
-/// count, hierarchy depth, q=8) for the hardware tables (3, 6, 7), trained
-/// on structured synthetic binary features so the LUT contents and signal
-/// activities are realistic without a full CNN run.
-///
-/// Area is purely structural and matches the paper's hand count; power and
-/// timing additionally use the trained contents through simulation.
+/// The synthetic serving fixture: a classifier with the *paper's exact
+/// RINC structure* (P, tree count, hierarchy depth, q=8), trained on
+/// majority votes of random feature bits instead of a teacher. The engine
+/// bench and the repository benchmark's serving workloads build from it,
+/// and their model digests depend on this body. The paper's hardware
+/// tables come from the `pipeline` binary's distilled classifiers instead.
 pub fn hardware_classifier(
     kind: DatasetKind,
     n: usize,
@@ -221,11 +211,6 @@ pub fn print_header(title: &str, columns: &[&str]) {
     );
 }
 
-/// Formats a value in scientific notation the way Table 6 prints energies.
-pub fn sci(value: f64) -> String {
-    format!("{value:9.2e}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,8 +238,6 @@ mod tests {
     #[test]
     fn kinds_map_to_paper_rows() {
         assert_eq!(DatasetKind::MnistLike.architecture().name, "M1");
-        assert_eq!(DatasetKind::SvhnLike.clock_mhz(), 100.0);
-        assert_eq!(DatasetKind::CifarLike.clock_mhz(), 62.5);
     }
 
     #[test]

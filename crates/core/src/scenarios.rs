@@ -2,17 +2,17 @@
 //! and SVHN-shaped tasks.
 //!
 //! A [`Scenario`] bundles a dataset shape ([`ScenarioKind`]), a
-//! [`WorkflowConfig`], split sizes, and the list of `RincBank` shard
-//! counts to exercise. [`Scenario::run`] resolves the dataset (real
-//! CIFAR-binary or IDX files under the scenario's data directory when
-//! present, seeded synthetic stand-ins otherwise), drives the staged
-//! workflow, trains the
-//! bank once per shard count, **asserts every bank is bit-identical to
-//! the first** before any timing is trusted, and returns a
-//! [`ScenarioReport`] carrying the Table 2 staged accuracies, RINC
-//! fidelity, per-stage timings and the trained classifier — everything
-//! `poetbin_bench`'s `pipeline` binary needs to emit the paper-table
-//! artifacts into `BENCH_pipeline.json`.
+//! [`WorkflowConfig`] and split sizes. [`Scenario::run`] resolves the
+//! dataset (real CIFAR-binary or IDX files under the scenario's data
+//! directory when present, seeded synthetic stand-ins otherwise), drives
+//! the staged workflow, training the RINC bank once at
+//! [`WorkflowConfig::bank_shards`], and returns a [`ScenarioReport`]
+//! carrying the Table 2 staged accuracies, RINC fidelity, per-stage
+//! timings and the trained classifier — everything `poetbin_bench`'s
+//! `pipeline` binary needs to render Tables 3, 6 and 7 and write
+//! `BENCH_pipeline.json`. The bank is bit-identical at every shard count;
+//! `tests/sharding.rs` and the workspace's `tests/determinism.rs` prove
+//! it, so a run trains it only once.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -69,8 +69,8 @@ impl ScenarioKind {
         }
     }
 
-    /// Operating clock used for the energy tables (§4.2: SVHN reported at
-    /// 100 MHz, the rest at 62.5 MHz).
+    /// PoET-BiN classifier clock used for the energy tables (§4.2: SVHN
+    /// reported at 100 MHz, the rest at 62.5 MHz).
     pub fn clock_mhz(self) -> f64 {
         match self {
             ScenarioKind::Svhn => 100.0,
@@ -88,8 +88,8 @@ impl ScenarioKind {
     }
 }
 
-/// One configured end-to-end run: dataset shape, workflow settings, split
-/// sizes and the shard counts to verify and time.
+/// One configured end-to-end run: dataset shape, workflow settings and
+/// split sizes.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// Dataset shape and architecture row.
@@ -104,10 +104,6 @@ pub struct Scenario {
     pub seed: u64,
     /// Directory searched for the four standard IDX files.
     pub data_dir: PathBuf,
-    /// `RincBank` shard counts to train with. Every count must produce a
-    /// bank bit-identical to the first (the run panics otherwise); the
-    /// first entry is the reference whose bank the report carries.
-    pub shard_counts: Vec<usize>,
 }
 
 impl Scenario {
@@ -127,7 +123,6 @@ impl Scenario {
             test_examples: 10_000,
             seed: 17,
             data_dir: PathBuf::from("data").join(kind.name()),
-            shard_counts: vec![1, 2, 4],
         }
     }
 
@@ -218,16 +213,8 @@ impl Scenario {
         (train, test, DataSource::Synthetic)
     }
 
-    /// Runs the full staged pipeline.
-    ///
-    /// The teacher trains once; the RINC bank then trains once per entry
-    /// of [`Scenario::shard_counts`] against the same artifacts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any shard count produces a bank that is not bit-identical
-    /// to the first — shard timings are only meaningful for equivalent
-    /// work, so divergence is a correctness bug, not a reporting detail.
+    /// Runs the full staged pipeline: teacher, RINC bank (once, at the
+    /// configured shard count) and output layer, each timed.
     pub fn run(&self) -> ScenarioReport {
         let (train, test, source) = self.load_data();
         let workflow = Workflow::new(self.config.clone());
@@ -236,31 +223,9 @@ impl Scenario {
         let art = workflow.teacher_stage(&train, &test);
         let teacher_ms = t.elapsed().as_millis() as u64;
 
-        let counts = if self.shard_counts.is_empty() {
-            vec![self.config.bank_shards]
-        } else {
-            self.shard_counts.clone()
-        };
-        let mut bank_ms = Vec::with_capacity(counts.len());
-        let mut reference = None;
-        for &shards in &counts {
-            let t = Instant::now();
-            let bank = workflow.rinc_stage_with_shards(&art, shards);
-            let ms = t.elapsed().as_millis() as u64;
-            match &reference {
-                None => reference = Some(bank),
-                Some(first) => assert!(
-                    &bank == first,
-                    "[{}] bank trained with {} shards diverges from the \
-                     {}-shard reference — sharding must be bit-exact",
-                    self.kind.name(),
-                    shards,
-                    counts[0]
-                ),
-            }
-            bank_ms.push((shards, ms));
-        }
-        let bank = reference.expect("at least one shard count runs");
+        let t = Instant::now();
+        let bank = workflow.rinc_stage(&art);
+        let bank_ms = t.elapsed().as_millis() as u64;
         let rinc_fidelity = bank.fidelity(&art.test_features, &art.test_inter);
 
         let t = Instant::now();
@@ -318,9 +283,8 @@ pub struct ScenarioReport {
     pub rinc_fidelity: f64,
     /// Wall-clock of the teacher stage (A1–A3), milliseconds.
     pub teacher_ms: u64,
-    /// `(shard_count, wall-clock ms)` per bank training run — only
-    /// reported after every bank was asserted bit-identical.
-    pub bank_ms: Vec<(usize, u64)>,
+    /// Wall-clock of the RINC bank stage, milliseconds.
+    pub bank_ms: u64,
     /// Wall-clock of the output stage, milliseconds.
     pub output_ms: u64,
     /// The trained classifier.
@@ -329,13 +293,6 @@ pub struct ScenarioReport {
     pub test_features: FeatureMatrix,
     /// Labels of the test split.
     pub test_labels: Vec<usize>,
-}
-
-impl ScenarioReport {
-    /// Shard counts whose banks were verified bit-identical this run.
-    pub fn verified_shard_counts(&self) -> Vec<usize> {
-        self.bank_ms.iter().map(|&(s, _)| s).collect()
-    }
 }
 
 #[cfg(test)]

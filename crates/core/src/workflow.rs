@@ -162,8 +162,8 @@ impl Workflow {
     }
 
     /// [`Workflow::rinc_stage`] with an explicit shard-count override —
-    /// the trained bank is bit-identical for every value (the scenario
-    /// harness asserts this before reporting shard timings).
+    /// the trained bank is bit-identical for every value
+    /// (`tests/sharding.rs` pins this).
     pub fn rinc_stage_with_shards(&self, art: &TeacherArtifacts, shards: usize) -> RincBank {
         let cfg = self.config.rinc_config().with_bank_shards(shards);
         RincBank::train(&art.train_features, &art.train_inter, &cfg)

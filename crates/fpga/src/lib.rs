@@ -19,8 +19,8 @@
 //! * [`simulate`] — 64-way bit-parallel evaluation producing outputs and
 //!   per-signal toggle activities.
 //! * [`TimingModel`] / [`PowerModel`] — delay and power estimation with
-//!   constants calibrated against the paper's Spartan-6 measurements (see
-//!   EXPERIMENTS.md for the calibration).
+//!   constants calibrated against the paper's Spartan-6 measurements (each
+//!   type's docs give its calibration).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

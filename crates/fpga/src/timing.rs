@@ -10,7 +10,9 @@ use crate::netlist::{Netlist, Node};
 /// each mapped to four LUT6s plus an F7/F8 mux pair — read 9.11/9.48 ns.
 /// With `t_io = 1.5 ns` (combined pad-in + pad-out), `t_lut = 0.90 ns`,
 /// `t_net = 0.19 ns` and `t_mux = 0.42 ns` the model lands on 5.86 ns and
-/// 9.22 ns respectively. EXPERIMENTS.md discusses the residual gap.
+/// 9.22 ns respectively. The residual (+0.11 ns MNIST, −0.26 ns CIFAR)
+/// remains because the model prices both 8-input designs alike, while the
+/// paper measures CIFAR 0.37 ns slower than MNIST.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TimingModel {
     /// LUT propagation delay (ns).

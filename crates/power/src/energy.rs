@@ -27,15 +27,6 @@ impl Precision {
             Precision::Int32 => (OpKind::Mul32, OpKind::Add32),
         }
     }
-
-    /// Row label used by the Table 6 generator.
-    pub fn label(self) -> &'static str {
-        match self {
-            Precision::Float32 => "VANILLA",
-            Precision::Int16 => "16-BIT QUANT",
-            Precision::Int32 => "32-BIT QUANT",
-        }
-    }
 }
 
 /// Energy per inference (J) of a fully connected classifier at the given
@@ -58,8 +49,9 @@ pub fn fc_energy(widths: &[usize], precision: Precision, freq_mhz: f64) -> f64 {
 /// The paper measures one 512-input binary neuron at 26 mW and multiplies
 /// by the neuron count for MNIST. For layers with other fan-ins this model
 /// scales the neuron power linearly with input count (XNOR array and
-/// popcount tree both grow linearly); EXPERIMENTS.md quantifies the
-/// ≈2–2.5× residual against the paper's CIFAR/SVHN estimates.
+/// popcount tree both grow linearly). That lands 2.5× (CIFAR, 1.5e-5 J)
+/// and 2.2× (SVHN, 4.3e-6 J) below the paper's 3.9e-5 and 9.2e-6 J,
+/// whose per-layer scaling the paper does not state.
 ///
 /// # Panics
 ///
@@ -73,15 +65,6 @@ pub fn binary_network_energy(widths: &[usize], freq_mhz: f64) -> f64 {
         power_w += neurons * BINARY_NEURON_512_W * (fan_in / 512.0);
     }
     power_w / (freq_mhz * 1e6)
-}
-
-/// One row of the Table 6 comparison.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EnergyRow {
-    /// Technique label (VANILLA, 1-BIT QUANT, …, POET-BIN).
-    pub technique: String,
-    /// Energy per inference in joules.
-    pub energy_j: f64,
 }
 
 #[cfg(test)]
@@ -127,7 +110,7 @@ mod tests {
     #[test]
     fn binary_cifar_svhn_within_model_tolerance() {
         // The paper reports 3.9e-5 and 9.2e-6; the linear-scaling model
-        // lands within ~3× (see EXPERIMENTS.md) and must preserve ordering.
+        // lands 2.2–2.5× below them and must preserve ordering.
         let ec = binary_network_energy(CIFAR, 62.5);
         let es = binary_network_energy(SVHN, 62.5);
         assert!(ec > es, "CIFAR binary must cost more than SVHN");

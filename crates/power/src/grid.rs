@@ -1,24 +1,20 @@
-//! Per-module resource/energy accounting for a trained RINC bank — the
-//! structural side of the Tables 3–7 grid.
+//! Per-module resource accounting for a trained RINC bank, and the
+//! assembled Table 6 energy comparison.
 //!
-//! The fpga crate estimates power by simulating a mapped netlist; this
-//! module provides the complementary *analytic* account: every module
-//! contributes a [`ModuleGrid`] of LUT/tree/MAT counts, a [`BankGrid`]
-//! folds them, and [`energy_grid`] places the resulting PoET-BiN energy
-//! next to the conventional-precision estimates of Table 6. The
-//! invariants the scenario harness relies on (totals are exact sums,
-//! monotone under growth, zero for empty banks) are pinned by the seeded
-//! property tests in `tests/grid.rs`.
+//! Every module contributes a [`ModuleGrid`] of LUT/tree/MAT counts and a
+//! [`BankGrid`] folds them: Table 7's structural audit. The PoET-BiN
+//! energy itself comes from simulating the mapped netlist (the fpga
+//! crate's power model, §4.2's total power × clock period); [`energy_grid`]
+//! places it next to the conventional-precision estimates. The count
+//! invariants (totals are exact sums, monotone under growth, zero for
+//! empty banks) are pinned by the seeded property tests in
+//! `tests/grid.rs`.
 
 use crate::energy::{binary_network_energy, fc_energy, Precision};
 
-/// Compute (logic + signal) power of one occupied LUT, in watts.
-///
-/// Calibrated from the paper's MNIST design point: 11 899 mapped LUTs
-/// drawing 0.513 W of measured compute power on the Spartan-6 (Tables 3
-/// and 7), giving ≈43 µW per LUT. A linear per-LUT model is what §4.2
-/// itself uses when scaling neuron measurements.
-pub const LUT_COMPUTE_W: f64 = 0.513 / 11_899.0;
+/// Clock of the conventional FC classifiers, MHz: §4.2 measures and
+/// prices them at 62.5 MHz whatever clock the PoET-BiN design runs at.
+pub const CONVENTIONAL_CLOCK_MHZ: f64 = 62.5;
 
 /// Resource counts of one RINC module (or any LUT subcircuit).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -29,13 +25,6 @@ pub struct ModuleGrid {
     pub trees: usize,
     /// Majority-vote (MAT) LUTs.
     pub mats: usize,
-}
-
-impl ModuleGrid {
-    /// Compute power of this subcircuit at [`LUT_COMPUTE_W`] per LUT.
-    pub fn power_w(self) -> f64 {
-        self.luts as f64 * LUT_COMPUTE_W
-    }
 }
 
 impl std::ops::Add for ModuleGrid {
@@ -59,33 +48,12 @@ pub struct BankGrid {
 }
 
 impl BankGrid {
-    /// A grid over the given per-module entries.
-    pub fn new(modules: Vec<ModuleGrid>) -> BankGrid {
-        BankGrid { modules }
-    }
-
     /// Field-wise totals over all modules (zero for an empty bank).
     pub fn totals(&self) -> ModuleGrid {
         self.modules
             .iter()
             .copied()
             .fold(ModuleGrid::default(), |acc, m| acc + m)
-    }
-
-    /// Total compute power of the bank, watts.
-    pub fn power_w(&self) -> f64 {
-        self.totals().power_w()
-    }
-
-    /// Energy per inference at the given clock, joules (one cycle per
-    /// inference — the classifier is a single combinational cone, §4.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_mhz <= 0`.
-    pub fn energy_j(&self, freq_mhz: f64) -> f64 {
-        assert!(freq_mhz > 0.0, "clock frequency must be positive");
-        self.power_w() / (freq_mhz * 1e6)
     }
 }
 
@@ -101,7 +69,8 @@ impl FromIterator<ModuleGrid> for BankGrid {
 /// energies next to the PoET-BiN figure.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyGrid {
-    /// Operating clock, MHz.
+    /// PoET-BiN's operating clock, MHz. The conventional rows are priced
+    /// at [`CONVENTIONAL_CLOCK_MHZ`].
     pub clock_mhz: f64,
     /// 32-bit float FC classifier, J/inference.
     pub vanilla_j: f64,
@@ -111,7 +80,7 @@ pub struct EnergyGrid {
     pub int32_j: f64,
     /// 1-bit (binary) FC classifier, J/inference.
     pub binary_j: f64,
-    /// PoET-BiN, J/inference (from simulation or a [`BankGrid`]).
+    /// PoET-BiN, J/inference, as simulated at `clock_mhz`.
     pub poetbin_j: f64,
 }
 
@@ -127,19 +96,21 @@ impl EnergyGrid {
 }
 
 /// Builds the Table 6 comparison for one dataset: the FC classifier
-/// widths it replaces (a `PAPER_CLASSIFIERS` row), the clock, and the
-/// measured/estimated PoET-BiN energy.
+/// widths it replaces (a `PAPER_CLASSIFIERS` row), PoET-BiN's clock, and
+/// its simulated energy. The conventional rows run at
+/// [`CONVENTIONAL_CLOCK_MHZ`], not at `clock_mhz`.
 ///
 /// # Panics
 ///
-/// Panics if fewer than two widths are given or `clock_mhz <= 0`.
+/// Panics if fewer than two widths are given.
 pub fn energy_grid(fc_widths: &[usize], clock_mhz: f64, poetbin_j: f64) -> EnergyGrid {
+    let mhz = CONVENTIONAL_CLOCK_MHZ;
     EnergyGrid {
         clock_mhz,
-        vanilla_j: fc_energy(fc_widths, Precision::Float32, clock_mhz),
-        int16_j: fc_energy(fc_widths, Precision::Int16, clock_mhz),
-        int32_j: fc_energy(fc_widths, Precision::Int32, clock_mhz),
-        binary_j: binary_network_energy(fc_widths, clock_mhz),
+        vanilla_j: fc_energy(fc_widths, Precision::Float32, mhz),
+        int16_j: fc_energy(fc_widths, Precision::Int16, mhz),
+        int32_j: fc_energy(fc_widths, Precision::Int32, mhz),
+        binary_j: binary_network_energy(fc_widths, mhz),
         poetbin_j,
     }
 }
@@ -152,19 +123,6 @@ mod tests {
     fn empty_bank_is_all_zero() {
         let grid = BankGrid::default();
         assert_eq!(grid.totals(), ModuleGrid::default());
-        assert_eq!(grid.power_w(), 0.0);
-        assert_eq!(grid.energy_j(62.5), 0.0);
-    }
-
-    #[test]
-    fn lut_calibration_reproduces_paper_mnist_power() {
-        // 11 899 LUTs at the calibrated per-LUT power is 0.513 W exactly.
-        let mnist = ModuleGrid {
-            luts: 11_899,
-            trees: 0,
-            mats: 0,
-        };
-        assert!((mnist.power_w() - 0.513).abs() < 1e-12);
     }
 
     #[test]
@@ -176,5 +134,18 @@ mod tests {
         assert!(g.poetbin_wins());
         let losing = energy_grid(&[512, 512, 10], 62.5, 1.0);
         assert!(!losing.poetbin_wins());
+    }
+
+    #[test]
+    fn conventional_rows_run_at_62_5_mhz_whatever_poetbin_clock() {
+        // SVHN's PoET-BiN design runs at 100 MHz; its vanilla row stays
+        // the paper's 1.6e-3 J at 62.5 MHz.
+        let svhn = crate::PAPER_CLASSIFIERS[2];
+        assert_eq!(svhn.0, "SVHN");
+        let g = energy_grid(svhn.1, 100.0, 7.0e-9);
+        assert_eq!(g.vanilla_j, fc_energy(svhn.1, Precision::Float32, 62.5));
+        assert_eq!(g.binary_j, binary_network_energy(svhn.1, 62.5));
+        assert_eq!(g.poetbin_j, 7.0e-9);
+        assert_eq!(g.clock_mhz, 100.0);
     }
 }

@@ -10,9 +10,9 @@
 //! * [`ops`] — the measured per-operation power table (Table 4).
 //! * [`counting`] — MAC counting for FC classifier stacks (Table 5).
 //! * [`energy`] — the composed per-inference energy comparison (Table 6).
-//! * [`grid`] — per-module LUT/energy accounting for trained RINC banks
-//!   and the assembled Table 6 comparison grid the scenario harness
-//!   emits.
+//! * [`grid`] — per-module LUT/tree/MAT counts of trained RINC banks
+//!   (Table 7's audit) and the assembled Table 6 comparison grid the
+//!   `pipeline` binary emits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +23,6 @@ pub mod grid;
 pub mod ops;
 
 pub use counting::{fc_ops, OpCounts, PAPER_CLASSIFIERS};
-pub use energy::{binary_network_energy, fc_energy, EnergyRow, Precision};
-pub use grid::{energy_grid, BankGrid, EnergyGrid, ModuleGrid, LUT_COMPUTE_W};
+pub use energy::{binary_network_energy, fc_energy, Precision};
+pub use grid::{energy_grid, BankGrid, EnergyGrid, ModuleGrid, CONVENTIONAL_CLOCK_MHZ};
 pub use ops::{OpKind, OpPower, OP_TABLE};

@@ -1,9 +1,9 @@
-//! Seeded property tests for the bank resource/energy grid: totals are
-//! exact sums, monotone under growth, zero for empty banks, and the
-//! Table 6 comparison preserves the paper's precision ordering for
-//! arbitrary classifier widths.
+//! Seeded property tests for the bank resource grid and the Table 6
+//! comparison: totals are exact sums, monotone under growth, zero for
+//! empty banks, and the comparison preserves the paper's precision
+//! ordering for arbitrary classifier widths.
 
-use poetbin_power::{energy_grid, BankGrid, ModuleGrid, LUT_COMPUTE_W};
+use poetbin_power::{energy_grid, BankGrid, ModuleGrid};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -41,8 +41,6 @@ fn totals_are_exact_field_wise_sums() {
             totals.mats,
             bank.modules.iter().map(|m| m.mats).sum::<usize>()
         );
-        // Power is the per-LUT calibration applied to the LUT total.
-        assert_eq!(bank.power_w(), totals.luts as f64 * LUT_COMPUTE_W);
     }
 }
 
@@ -50,16 +48,11 @@ fn totals_are_exact_field_wise_sums() {
 fn empty_banks_cost_nothing() {
     let empty = BankGrid::default();
     assert_eq!(empty.totals(), ModuleGrid::default());
-    assert_eq!(empty.power_w(), 0.0);
-    for clock in [1.0, 62.5, 100.0] {
-        assert_eq!(empty.energy_j(clock), 0.0);
-    }
 }
 
 #[test]
 fn totals_are_monotone_in_module_count() {
-    // Growing a bank module by module never decreases any total; every
-    // module with at least one LUT strictly increases power.
+    // Growing a bank module by module never decreases any total.
     let mut rng = StdRng::seed_from_u64(202);
     for _ in 0..50 {
         let mut bank = BankGrid::default();
@@ -71,9 +64,6 @@ fn totals_are_monotone_in_module_count() {
             assert!(now.luts >= prev.luts);
             assert!(now.trees >= prev.trees);
             assert!(now.mats >= prev.mats);
-            if module.luts > 0 {
-                assert!(bank.power_w() > prev.power_w());
-            }
             prev = now;
         }
     }
@@ -81,8 +71,8 @@ fn totals_are_monotone_in_module_count() {
 
 #[test]
 fn totals_are_monotone_in_tree_count() {
-    // Adding trees (each at least one LUT) to any module raises both the
-    // tree total and the energy at every clock.
+    // Adding trees (each at least one LUT) to any module raises the tree
+    // and LUT totals by exactly that many.
     let mut rng = StdRng::seed_from_u64(303);
     for _ in 0..100 {
         let mut bank = random_bank(&mut rng, 20);
@@ -90,7 +80,6 @@ fn totals_are_monotone_in_tree_count() {
             bank.modules.push(random_grid(&mut rng));
         }
         let before = bank.totals();
-        let e_before = bank.energy_j(62.5);
         let target = rng.random_range(0..bank.modules.len());
         let extra = rng.random_range(1..8usize);
         bank.modules[target].trees += extra;
@@ -98,7 +87,6 @@ fn totals_are_monotone_in_tree_count() {
         let after = bank.totals();
         assert_eq!(after.trees, before.trees + extra);
         assert_eq!(after.luts, before.luts + extra);
-        assert!(bank.energy_j(62.5) > e_before);
     }
 }
 
@@ -115,24 +103,13 @@ fn energy_grid_preserves_precision_ordering() {
         assert!(g.vanilla_j > g.int32_j, "{widths:?}");
         assert!(g.int32_j > g.int16_j, "{widths:?}");
         assert!(g.int16_j > g.binary_j, "{widths:?}");
-        assert!(g.poetbin_wins(), "{widths:?}");
-        // A PoET-BiN figure above vanilla can never win.
+        // The conventional rows run at 62.5 MHz whatever PoET-BiN's clock,
+        // so a small stack's binary row can sit below any fixed figure: a
+        // PoET-BiN figure below the binary row wins, and one above
+        // vanilla never does.
+        let winning = energy_grid(&widths, clock, g.binary_j / 2.0);
+        assert!(winning.poetbin_wins(), "{widths:?}");
         let losing = energy_grid(&widths, clock, g.vanilla_j * 2.0);
         assert!(!losing.poetbin_wins());
-    }
-}
-
-#[test]
-fn energy_scales_inversely_with_clock() {
-    let mut rng = StdRng::seed_from_u64(505);
-    for _ in 0..50 {
-        let bank = random_bank(&mut rng, 25);
-        let slow = bank.energy_j(50.0);
-        let fast = bank.energy_j(100.0);
-        if bank.totals().luts == 0 {
-            assert_eq!(slow, 0.0);
-        } else {
-            assert!((slow / fast - 2.0).abs() < 1e-9);
-        }
     }
 }
